@@ -1,7 +1,9 @@
 #ifndef VODB_CORE_ARRIVAL_ESTIMATOR_H_
 #define VODB_CORE_ARRIVAL_ESTIMATOR_H_
 
+#include <cstdint>
 #include <deque>
+#include <optional>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -23,7 +25,8 @@ class ArrivalEstimator {
   void RecordArrival(Seconds now);
 
   /// k_log at time `now`, with windows of length `service_period`.
-  /// O(w) in the number of logged arrivals (two-pointer sweep).
+  /// O(w) in the number of logged arrivals (two-pointer sweep); a repeat
+  /// over the same window contents and period returns the memoized answer.
   int KLog(Seconds now, Seconds service_period) const;
 
   /// Drops arrivals older than now − T_log. Called internally by
@@ -34,8 +37,24 @@ class ArrivalEstimator {
   std::size_t logged_count() const { return arrivals_.size(); }
 
  private:
+  /// KLog's last answer and the sweep it came from. The window always
+  /// holds arrivals [dropped, recorded) of everything ever recorded, so the
+  /// two counts pin its contents; its size alone does not (one arrival can
+  /// age out as another arrives).
+  struct Sweep {
+    std::uint64_t recorded = 0;
+    std::uint64_t dropped = 0;
+    Seconds service_period;
+    int k_log = 0;
+  };
+
+  void DropBefore(Seconds horizon) const;
+
   Seconds t_log_;
   mutable std::deque<Seconds> arrivals_;
+  std::uint64_t recorded_ = 0;
+  mutable std::uint64_t dropped_ = 0;
+  mutable std::optional<Sweep> last_sweep_;
 };
 
 }  // namespace vod::core

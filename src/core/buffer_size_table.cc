@@ -34,11 +34,16 @@ Result<BufferSizeTable> BufferSizeTable::Build(const AllocParams& params,
     AllocParams row = params;
     row.dl = dl_for_n(n);
     if (row.dl < Seconds(0)) return Status::InvalidArgument("DL(n) must be >= 0");
-    for (int k = 0; k <= n_max; ++k) {
-      Result<Bits> bs = DynamicBufferSize(row, n, std::min(k, n_max - n));
+    // Columns past k = N − n clamp to it: compute the N − n + 1 distinct
+    // entries and copy the last one into the tail.
+    Bits* bs_k = &t.table_[t.Index(n, 0)];
+    const int last = n_max - n;
+    for (int k = 0; k <= last; ++k) {
+      Result<Bits> bs = DynamicBufferSize(row, n, k);
       if (!bs.ok()) return bs.status();
-      t.table_[t.Index(n, k)] = bs.value();
+      bs_k[k] = bs.value();
     }
+    std::fill(bs_k + last + 1, bs_k + n_max + 1, bs_k[last]);
   }
   return t;
 }

@@ -12,26 +12,56 @@ Bits UnlimitedMemoryBroker::Capacity() const {
   return Bits::Infinity();
 }
 
+namespace {
+
+std::vector<Bits> BuildPriceTable(const core::AllocParams& params,
+                                  core::ScheduleMethod method,
+                                  bool use_dynamic, int g) {
+  // The only inputs DynamicMemoryRequirement/StaticMemoryRequirement can
+  // reject for n ∈ [1, N], k ∈ [0, N − n]; checked once so the fill loop
+  // cannot fail.
+  VOD_CHECK(params.Validate().ok());
+  VOD_CHECK(method != core::ScheduleMethod::kGss || g >= 1);
+  const int n_max = params.n_max;
+  const std::size_t stride = static_cast<std::size_t>(n_max) + 1;
+  std::vector<Bits> table(static_cast<std::size_t>(n_max) * stride);
+  for (int n = 1; n <= n_max; ++n) {
+    Bits* row = table.data() + static_cast<std::size_t>(n - 1) * stride;
+    // Both requirements clamp k to N − n; the static one ignores k.
+    const int last = use_dynamic ? n_max - n : 0;
+    for (int k = 0; k <= last; ++k) {
+      const Result<Bits> m =
+          use_dynamic
+              ? core::DynamicMemoryRequirement(params, method, n, k, g)
+              : core::StaticMemoryRequirement(params, method, n, g);
+      VOD_DCHECK(m.ok());
+      row[k] = m.value();
+    }
+    std::fill(row + last + 1, row + stride, row[last]);
+  }
+  return table;
+}
+
+}  // namespace
+
 AnalyticMemoryBroker::AnalyticMemoryBroker(core::AllocParams params,
                                            core::ScheduleMethod method,
                                            bool use_dynamic, int g,
                                            int disk_count, Bits capacity)
-    : params_(params), method_(method), use_dynamic_(use_dynamic), g_(g),
-      capacity_(capacity), n_(static_cast<std::size_t>(disk_count), 0),
-      k_(static_cast<std::size_t>(disk_count), 0) {
+    : n_max_(params.n_max),
+      prices_(BuildPriceTable(params, method, use_dynamic, g)),
+      capacity_(capacity),
+      disk_price_(static_cast<std::size_t>(disk_count)) {
   VOD_CHECK(disk_count >= 1);
 }
 
 Bits AnalyticMemoryBroker::PriceDisk(int n, int k) const {
   if (n <= 0) return Bits(0);
-  n = std::min(n, params_.n_max);
-  const Result<Bits> m =
-      use_dynamic_
-          ? core::DynamicMemoryRequirement(params_, method_, n, k, g_)
-          : core::StaticMemoryRequirement(params_, method_, n, g_);
-  // Parameters were validated at construction; a failure here is a bug.
-  VOD_CHECK(m.ok());
-  return m.value();
+  VOD_CHECK(k >= 0);
+  n = std::min(n, n_max_);
+  return prices_[static_cast<std::size_t>(n - 1) *
+                     (static_cast<std::size_t>(n_max_) + 1) +
+                 static_cast<std::size_t>(std::min(k, n_max_))];
 }
 
 Bits AnalyticMemoryBroker::Capacity() const {
@@ -45,38 +75,34 @@ void AnalyticMemoryBroker::AdvanceTo(Seconds now) {
 
 bool AnalyticMemoryBroker::CanAdmit(int disk, int new_n, int k) const {
   const std::size_t d = static_cast<std::size_t>(disk);
-  VOD_CHECK(d < n_.size());
-  if (new_n > params_.n_max) return false;
+  VOD_CHECK(d < disk_price_.size());
+  if (new_n > n_max_) return false;
+  const Bits own = PriceDisk(new_n, k);
   Bits total;
-  for (std::size_t i = 0; i < n_.size(); ++i) {
-    if (i == d) {
-      total += PriceDisk(new_n, k);
-    } else {
-      total += PriceDisk(n_[i], k_[i]);
-    }
+  for (std::size_t i = 0; i < disk_price_.size(); ++i) {
+    total += i == d ? own : disk_price_[i];
   }
   return total <= Capacity();
 }
 
 void AnalyticMemoryBroker::OnState(int disk, int n, int k) {
   const std::size_t d = static_cast<std::size_t>(disk);
-  VOD_CHECK(d < n_.size());
-  n_[d] = n;
-  k_[d] = k;
+  VOD_CHECK(d < disk_price_.size());
+  disk_price_[d] = PriceDisk(n, k);
 }
 
 Bits AnalyticMemoryBroker::ReservedMemory() const {
   Bits total;
-  for (std::size_t i = 0; i < n_.size(); ++i) total += PriceDisk(n_[i], k_[i]);
+  for (const Bits price : disk_price_) total += price;
   return total;
 }
 
 Bits AnalyticMemoryBroker::ReservedExcluding(int disk) const {
   const std::size_t d = static_cast<std::size_t>(disk);
-  VOD_CHECK(d < n_.size());
+  VOD_CHECK(d < disk_price_.size());
   Bits total;
-  for (std::size_t i = 0; i < n_.size(); ++i) {
-    if (i != d) total += PriceDisk(n_[i], k_[i]);
+  for (std::size_t i = 0; i < disk_price_.size(); ++i) {
+    if (i != d) total += disk_price_[i];
   }
   return total;
 }

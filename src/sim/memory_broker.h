@@ -56,6 +56,14 @@ class UnlimitedMemoryBroker final : public MemoryBroker {
 
 /// Prices each disk with the scheme's analytic minimum memory requirement
 /// and admits while the total fits `capacity` (Figs. 13–14).
+///
+/// Sec. 3.3's precompute applied to Theorems 2–4: the constructor fills an
+/// O(N²) table of the price at every (n, k), and OnState caches each disk's
+/// current price, so every query is a lookup plus an O(disks) sum. Totals
+/// stay left-to-right folds over the cached prices in ascending disk order,
+/// bit-identical to summing fresh closed forms; a running total would drift
+/// in the low-order bits and could flip an admission that sits exactly on
+/// the capacity.
 class AnalyticMemoryBroker final : public MemoryBroker {
  public:
   /// `use_dynamic` selects Theorems 2–4 (dynamic scheme) vs the static
@@ -81,9 +89,10 @@ class AnalyticMemoryBroker final : public MemoryBroker {
 
   [[nodiscard]] Bits nominal_capacity() const { return capacity_; }
 
-  /// Memory the model assigns to one disk at (n, k); 0 when n == 0.
-  /// Pure in (n, k) and the construction-time parameters — safe to call
-  /// concurrently (the sharded runner's worker threads do).
+  /// Memory the model assigns to one disk at (n, k); 0 when n <= 0, n
+  /// clamps to N and k (>= 0) to N − n. A read of the table, which is
+  /// immutable after construction — safe to call concurrently (the sharded
+  /// runner's worker threads do).
   [[nodiscard]] Bits PriceDisk(int n, int k) const;
 
   /// Total priced memory over every disk except `disk`, in ascending disk
@@ -92,16 +101,16 @@ class AnalyticMemoryBroker final : public MemoryBroker {
   [[nodiscard]] Bits ReservedExcluding(int disk) const;
 
   /// The model's hard per-disk stream ceiling (AllocParams::n_max).
-  [[nodiscard]] int max_n() const { return params_.n_max; }
+  [[nodiscard]] int max_n() const { return n_max_; }
 
  private:
-  core::AllocParams params_;
-  core::ScheduleMethod method_;
-  bool use_dynamic_;
-  int g_;
+  int n_max_;
+  /// Price at (n, k): row n − 1, column k ∈ [0, N]. Columns past N − n
+  /// repeat the k = N − n entry (the static scheme's price ignores k, so
+  /// its rows repeat the k = 0 entry).
+  const std::vector<Bits> prices_;
   Bits capacity_;
-  std::vector<int> n_;
-  std::vector<int> k_;
+  std::vector<Bits> disk_price_;  ///< Each disk's price at its last OnState.
   const fault::Injector* injector_ = nullptr;  ///< Not owned; may be null.
   Seconds clock_;  ///< Monotone; max over AdvanceTo calls.
 };

@@ -74,19 +74,24 @@ Status MultiDiskSimulator::AddArrivals(
 }
 
 void MultiDiskSimulator::RunToCompletion() {
+  // A step changes only the stepped disk's queue, so only its next-event
+  // time needs reading again.
+  const std::size_t disks = sims_.size();
+  std::vector<Seconds> next(disks);
+  for (std::size_t d = 0; d < disks; ++d) next[d] = sims_[d]->NextEventTime();
   for (;;) {
-    // Globally earliest next event across disks.
+    // Globally earliest next event across disks; ties go to the lowest disk.
     Seconds best = Seconds::Infinity();
-    VodSimulator* who = nullptr;
-    for (auto& s : sims_) {
-      const Seconds t = s->NextEventTime();
-      if (t < best) {
-        best = t;
-        who = s.get();
+    std::size_t who = disks;
+    for (std::size_t d = 0; d < disks; ++d) {
+      if (next[d] < best) {
+        best = next[d];
+        who = d;
       }
     }
-    if (who == nullptr) break;
-    who->Step();
+    if (who == disks) break;
+    sims_[who]->Step();
+    next[who] = sims_[who]->NextEventTime();
   }
 }
 

@@ -15,6 +15,8 @@ Result<std::unique_ptr<VodServer>> VodServer::Create(const Options& options) {
   std::unique_ptr<sim::MemoryBroker> broker;
   if (options.memory_capacity > Bits(0)) {
     const sim::SimConfig& c = options.config;
+    // The broker's price table needs a valid GSS group size up front.
+    VOD_RETURN_IF_ERROR(c.Validate());
     const int n_for_dl =
         c.method == core::ScheduleMethod::kGss
             ? c.gss_group_size

@@ -1,12 +1,20 @@
 #include "sim/multi_disk.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/units.h"
 #include "fault/fault_spec.h"
 #include "fault/injector.h"
+#include "sim/rng.h"
 #include "sim/workload.h"
 
 namespace vod::sim {
@@ -26,12 +34,12 @@ TEST(AnalyticMemoryBrokerTest, PricesWithMemoryModel) {
   AnalyticMemoryBroker broker(p, core::ScheduleMethod::kRoundRobin,
                               /*use_dynamic=*/true, 8, /*disk_count=*/2,
                               Gibibytes(1));
-  EXPECT_DOUBLE_EQ(ToBits(broker.PriceDisk(0, 0)), 0.0);
+  EXPECT_EQ(ToBits(broker.PriceDisk(0, 0)), 0.0);
   const Bits price =
       core::DynamicMemoryRequirement(p, core::ScheduleMethod::kRoundRobin, 5,
                                      2, 8)
           .value();
-  EXPECT_DOUBLE_EQ(ToBits(broker.PriceDisk(5, 2)), ToBits(price));
+  EXPECT_EQ(ToBits(broker.PriceDisk(5, 2)), ToBits(price));
 }
 
 TEST(AnalyticMemoryBrokerTest, AdmitsWithinBudgetOnly) {
@@ -55,6 +63,178 @@ TEST(AnalyticMemoryBrokerTest, RefusesBeyondDiskCapacity) {
   AnalyticMemoryBroker broker(p, core::ScheduleMethod::kRoundRobin, true, 8,
                               1, Gibibytes(100));
   EXPECT_FALSE(broker.CanAdmit(0, p.n_max + 1, 0));
+}
+
+// --- The price table against the per-query closed forms it replaced ---
+
+/// Reference broker: re-evaluates the Theorem 2–4 closed forms for every
+/// disk on every query. The table-priced AnalyticMemoryBroker must agree
+/// with it bit for bit.
+class ClosedFormBroker final : public MemoryBroker {
+ public:
+  ClosedFormBroker(core::AllocParams params, core::ScheduleMethod method,
+                   bool use_dynamic, int g, int disk_count, Bits capacity)
+      : params_(params), method_(method), use_dynamic_(use_dynamic), g_(g),
+        capacity_(capacity), n_(static_cast<std::size_t>(disk_count), 0),
+        k_(static_cast<std::size_t>(disk_count), 0) {}
+
+  Bits PriceDisk(int n, int k) const {
+    if (n <= 0) return Bits(0);
+    n = std::min(n, params_.n_max);
+    const Result<Bits> m =
+        use_dynamic_
+            ? core::DynamicMemoryRequirement(params_, method_, n, k, g_)
+            : core::StaticMemoryRequirement(params_, method_, n, g_);
+    VOD_CHECK(m.ok());
+    return m.value();
+  }
+
+  bool CanAdmit(int disk, int new_n, int k) const override {
+    if (new_n > params_.n_max) return false;
+    Bits total;
+    for (std::size_t i = 0; i < n_.size(); ++i) {
+      total += static_cast<int>(i) == disk ? PriceDisk(new_n, k)
+                                           : PriceDisk(n_[i], k_[i]);
+    }
+    return total <= capacity_;
+  }
+
+  void OnState(int disk, int n, int k) override {
+    n_[static_cast<std::size_t>(disk)] = n;
+    k_[static_cast<std::size_t>(disk)] = k;
+  }
+
+  Bits ReservedMemory() const override { return ReservedExcluding(-1); }
+  Bits Capacity() const override { return capacity_; }
+
+  Bits ReservedExcluding(int disk) const {
+    Bits total;
+    for (std::size_t i = 0; i < n_.size(); ++i) {
+      if (static_cast<int>(i) != disk) total += PriceDisk(n_[i], k_[i]);
+    }
+    return total;
+  }
+
+ private:
+  core::AllocParams params_;
+  core::ScheduleMethod method_;
+  bool use_dynamic_;
+  int g_;
+  Bits capacity_;
+  std::vector<int> n_;
+  std::vector<int> k_;
+};
+
+constexpr int kGssGroup = 8;
+
+/// The broker parameters MultiDiskSimulator::Create derives for `method`
+/// on the paper's disk (N = 79).
+core::AllocParams PaperParams(core::ScheduleMethod method) {
+  const disk::DiskProfile profile = disk::SeagateBarracuda9LP();
+  const int n_or_g =
+      method == core::ScheduleMethod::kGss
+          ? kGssGroup
+          : core::MaxConcurrentRequests(profile.transfer_rate, Mbps(1.5));
+  auto p = core::MakeAllocParams(profile, Mbps(1.5), method, n_or_g, 1);
+  EXPECT_TRUE(p.ok());
+  return p.value();
+}
+
+TEST(AnalyticMemoryBrokerTest, PriceTableMatchesClosedFormsBitForBit) {
+  for (core::ScheduleMethod method :
+       {core::ScheduleMethod::kRoundRobin, core::ScheduleMethod::kSweep,
+        core::ScheduleMethod::kGss}) {
+    const core::AllocParams p = PaperParams(method);
+    ASSERT_EQ(p.n_max, 79);
+    for (bool dynamic : {true, false}) {
+      const AnalyticMemoryBroker table(p, method, dynamic, kGssGroup, 1,
+                                       Gibibytes(1));
+      const ClosedFormBroker ref(p, method, dynamic, kGssGroup, 1,
+                                 Gibibytes(1));
+      for (int n = -1; n <= p.n_max + 1; ++n) {
+        for (int k = 0; k <= p.n_max + 2; ++k) {
+          EXPECT_EQ(ToBits(table.PriceDisk(n, k)), ToBits(ref.PriceDisk(n, k)))
+              << core::ScheduleMethodName(method) << " dynamic=" << dynamic
+              << " n=" << n << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(AnalyticMemoryBrokerTest, SumsMatchClosedFormsAfterRandomStates) {
+  constexpr int kDisks = 7;
+  const core::AllocParams p = PaperParams(core::ScheduleMethod::kRoundRobin);
+  ClosedFormBroker probe(p, core::ScheduleMethod::kRoundRobin, true,
+                         kGssGroup, kDisks, Bits(0));
+  // A seeded script of OnState updates, each followed by a CanAdmit query.
+  struct Step {
+    int disk, n, k, ask_disk, ask_n, ask_k;
+  };
+  Rng rng(2024);
+  const auto below = [&rng](int n) {
+    return static_cast<int>(rng.NextBelow(static_cast<std::uint32_t>(n)));
+  };
+  std::vector<Step> script(2000);
+  for (Step& s : script) {
+    s = {below(kDisks), below(p.n_max + 1), below(p.n_max + 3),
+         below(kDisks), below(p.n_max + 2), below(p.n_max + 3)};
+  }
+  // A budget at the script's median reservation, so CanAdmit answers both
+  // ways.
+  std::vector<double> totals;
+  for (const Step& s : script) {
+    probe.OnState(s.disk, s.n, s.k);
+    totals.push_back(ToBits(probe.ReservedMemory()));
+  }
+  std::nth_element(totals.begin(), totals.begin() + totals.size() / 2,
+                   totals.end());
+  const Bits capacity(totals[totals.size() / 2]);
+
+  AnalyticMemoryBroker table(p, core::ScheduleMethod::kRoundRobin, true,
+                             kGssGroup, kDisks, capacity);
+  ClosedFormBroker ref(p, core::ScheduleMethod::kRoundRobin, true, kGssGroup,
+                       kDisks, capacity);
+  int admits = 0;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const Step& s = script[i];
+    table.OnState(s.disk, s.n, s.k);
+    ref.OnState(s.disk, s.n, s.k);
+    ASSERT_EQ(ToBits(table.ReservedMemory()), ToBits(ref.ReservedMemory()))
+        << "step " << i;
+    for (int d = 0; d < kDisks; ++d) {
+      ASSERT_EQ(ToBits(table.ReservedExcluding(d)),
+                ToBits(ref.ReservedExcluding(d)))
+          << "step " << i << " disk " << d;
+    }
+    const bool admit = ref.CanAdmit(s.ask_disk, s.ask_n, s.ask_k);
+    ASSERT_EQ(table.CanAdmit(s.ask_disk, s.ask_n, s.ask_k), admit)
+        << "step " << i;
+    admits += admit ? 1 : 0;
+  }
+  EXPECT_GT(admits, 500);
+  EXPECT_LT(admits, 1500);
+
+  // A budget equal to the current total: re-asking for any disk's present
+  // state sits exactly on the capacity and must still fit.
+  const int states[kDisks][2] = {{10, 2}, {40, 7}, {0, 0}, {79, 5},
+                                 {3, 90}, {25, 1}, {61, 12}};
+  ClosedFormBroker exact_ref(p, core::ScheduleMethod::kRoundRobin, true,
+                             kGssGroup, kDisks, Bits(0));
+  for (int d = 0; d < kDisks; ++d) {
+    exact_ref.OnState(d, states[d][0], states[d][1]);
+  }
+  AnalyticMemoryBroker on_capacity(p, core::ScheduleMethod::kRoundRobin, true,
+                                   kGssGroup, kDisks,
+                                   exact_ref.ReservedMemory());
+  for (int d = 0; d < kDisks; ++d) {
+    on_capacity.OnState(d, states[d][0], states[d][1]);
+  }
+  for (int d = 0; d < kDisks; ++d) {
+    EXPECT_TRUE(on_capacity.CanAdmit(d, states[d][0], states[d][1]))
+        << "disk " << d;
+  }
+  EXPECT_FALSE(on_capacity.CanAdmit(0, states[0][0] + 1, states[0][1]));
 }
 
 TEST(UnlimitedMemoryBrokerTest, AlwaysAdmits) {
@@ -204,6 +384,138 @@ TEST(MultiDiskTest, DiskOutageDoesNotStallHealthyDisks) {
   // ...but drained completely once the window closed.
   EXPECT_EQ(faulted->sim(1).active_count(), 0);
   EXPECT_EQ(dark.completed + dark.cancelled, dark.admitted);
+}
+
+/// FNV-1a over the raw bits of every counter, statistic, allocation record
+/// and step-series point (memory_reserved included), one line per disk:
+/// equal signatures mean bit-identical metrics.
+std::string Signature(const std::vector<const VodSimulator*>& sims) {
+  std::string out;
+  for (std::size_t d = 0; d < sims.size(); ++d) {
+    const SimMetrics& m = sims[d]->metrics();
+    std::uint64_t h = 1469598103934665603ULL;
+    long fields = 0;
+    const auto fold = [&h, &fields](double v) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      for (int byte = 0; byte < 8; ++byte) {
+        h = (h ^ ((bits >> (8 * byte)) & 0xffU)) * 1099511628211ULL;
+      }
+      ++fields;
+    };
+    for (long count :
+         {m.arrivals, m.admitted, m.rejected, m.rejected_capacity,
+          m.rejected_memory, m.rejected_invalid, m.deferred_admissions,
+          m.completed, m.cancelled, m.services, m.starvation_events,
+          m.estimation_checks, m.estimation_successes}) {
+      fold(static_cast<double>(count));
+    }
+    fold(m.initial_latency.mean());
+    fold(m.initial_latency.max());
+    fold(m.estimated_k.mean());
+    fold(ToSeconds(m.disk_busy_time));
+    fold(ToBits(m.buffer_bits_allocated));
+    fold(ToBits(m.buffer_bits_released));
+    for (const AllocationRecord& a : m.allocations) {
+      fold(ToSeconds(a.time));
+      fold(ToBits(a.buffer_size));
+      fold(a.n);
+      fold(a.k);
+      fold(ToSeconds(a.usage_period));
+    }
+    for (const StepTimeSeries* series :
+         {&m.concurrency, &m.memory_usage, &m.memory_reserved}) {
+      for (const auto& [t, v] : series->points()) {
+        fold(t);
+        fold(v);
+      }
+    }
+    char line[80];
+    std::snprintf(line, sizeof line, "disk %zu fields=%ld digest=%016llx\n",
+                  d, fields, static_cast<unsigned long long>(h));
+    out += line;
+  }
+  return out;
+}
+
+/// Runs a day serially with every disk wired straight to `broker`: the
+/// earliest pending event first, ties to the lowest disk index. Per-disk
+/// configs are derived as MultiDiskSimulator::Create derives them.
+std::string RunSerialDay(const SimConfig& base, int disks,
+                         const std::vector<ArrivalEvent>& arrivals,
+                         MemoryBroker* broker) {
+  const std::vector<std::vector<ArrivalEvent>> per_disk =
+      SplitByDisk(arrivals, disks);
+  std::vector<std::unique_ptr<VodSimulator>> sims;
+  for (int d = 0; d < disks; ++d) {
+    SimConfig cfg = base;
+    cfg.disk_id = d;
+    cfg.seed = base.seed * 1000003ULL + static_cast<std::uint64_t>(d);
+    auto sim = VodSimulator::Create(cfg, broker);
+    VOD_CHECK(sim.ok());
+    VOD_CHECK((*sim)->AddArrivals(per_disk[static_cast<std::size_t>(d)]).ok());
+    sims.push_back(std::move(sim.value()));
+  }
+  for (;;) {
+    VodSimulator* who = nullptr;
+    Seconds best = Seconds::Infinity();
+    for (const auto& s : sims) {
+      if (s->NextEventTime() < best) {
+        best = s->NextEventTime();
+        who = s.get();
+      }
+    }
+    if (who == nullptr) break;
+    who->Step();
+  }
+  std::vector<const VodSimulator*> view;
+  for (const auto& s : sims) {
+    s->Finalize();
+    view.push_back(s.get());
+  }
+  return Signature(view);
+}
+
+TEST(MultiDiskTest, TablePricedDayMatchesClosedFormBrokerDay) {
+  constexpr int kDisks = 4;
+  SimConfig base;  // Dynamic Round-Robin on the paper's disk.
+  base.seed = 11;
+  WorkloadConfig w;
+  w.duration = Hours(0.5);
+  w.total_expected_arrivals = 300;
+  w.max_viewing_time = Minutes(10);
+  w.disk_count = kDisks;
+  w.disk_theta = 0.5;
+  w.seed = 21;
+  auto arr = GenerateWorkload(w);
+  ASSERT_TRUE(arr.ok());
+  const Bits capacity = Mebibytes(2);  // Binds: about one arrival in four
+                                       // is refused for memory.
+  const core::AllocParams p = PaperParams(base.method);
+
+  AnalyticMemoryBroker table(p, base.method, /*use_dynamic=*/true,
+                             base.gss_group_size, kDisks, capacity);
+  ClosedFormBroker ref(p, base.method, /*use_dynamic=*/true,
+                       base.gss_group_size, kDisks, capacity);
+  const std::string with_table = RunSerialDay(base, kDisks, *arr, &table);
+  EXPECT_EQ(with_table, RunSerialDay(base, kDisks, *arr, &ref));
+
+  // MultiDiskSimulator's serial loop, which re-reads only the stepped
+  // disk's next-event time, makes the same day.
+  auto md = MultiDiskSimulator::Create(base, kDisks, capacity);
+  ASSERT_TRUE(md.ok());
+  ASSERT_TRUE((*md)->AddArrivals(*arr).ok());
+  (*md)->RunToCompletion();
+  (*md)->Finalize();
+  std::vector<const VodSimulator*> view;
+  long refused_for_memory = 0;
+  for (int d = 0; d < kDisks; ++d) {
+    view.push_back(&(*md)->sim(d));
+    refused_for_memory += (*md)->sim(d).metrics().rejected_memory;
+  }
+  EXPECT_GT(refused_for_memory, 0);
+  EXPECT_GT((*md)->TotalAdmitted(), 0);
+  EXPECT_EQ(Signature(view), with_table);
 }
 
 TEST(MultiDiskTest, CreateValidates) {

@@ -78,6 +78,12 @@ TEST(VodServerTest, InvalidConfigFails) {
   VodServer::Options opt = DefaultOptions();
   opt.config.alpha = 0;
   EXPECT_FALSE(VodServer::Create(opt).ok());
+  // Also with a memory budget, whose broker is built from the config.
+  VodServer::Options gss = DefaultOptions();
+  gss.config.method = core::ScheduleMethod::kGss;
+  gss.config.gss_group_size = 0;
+  gss.memory_capacity = Mebibytes(60);
+  EXPECT_FALSE(VodServer::Create(gss).ok());
 }
 
 TEST(VodServerTest, AlphaParamsExposed) {
