@@ -1,6 +1,7 @@
 // Microbenchmark suite over the simulator's hot paths (the profiler's
-// VODB_PROF_SCOPE table names them): Theorem-1 buffer sizing, the O(N²)
-// BS_k(n) table lookup, BubbleUp insertion, memory-broker admit/release,
+// VODB_PROF_SCOPE table names them): BS_k(n) three ways (recurrence,
+// Theorem-1 closed form, and the O(N²) table's lookup and build — the
+// Sec. 3.3 ablation), BubbleUp insertion, memory-broker admit/release,
 // the seek-model γ(x) curve, event-queue churn, and end-to-end RunDay
 // throughput for one static and one dynamic grid point.
 //
@@ -9,14 +10,13 @@
 // trajectory anchor; regenerate with --dump-baseline from the repo root).
 //
 // This suite deliberately uses the in-repo src/bench_kit harness rather
-// than google-benchmark (micro_buffer_size.cc keeps that dependency as a
-// cross-check): the JSON schema, the noise statistics (CV), and the clock
-// injection the harness tests need are all part of this repo's contract.
+// than google-benchmark: the JSON schema, the noise statistics (CV), and
+// the clock injection the harness tests need are all part of this repo's
+// contract.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -29,6 +29,7 @@
 #include "core/buffer_size_table.h"
 #include "core/closed_form.h"
 #include "core/params.h"
+#include "core/recurrence.h"
 #include "disk/disk_profile.h"
 #include "exp/day_run.h"
 #include "exp/sharded.h"
@@ -51,6 +52,19 @@ core::AllocParams PaperParams() {
                                  core::ScheduleMethod::kRoundRobin, 0, 1);
   VOD_CHECK(p.ok());
   return p.value();
+}
+
+// --- recurrence: BS_k(n) by unrolling the Eq. 10 recurrence, the
+// definition the closed form and the table are checked against. ---
+void BM_Recurrence(bk::State& state) {
+  const core::AllocParams p = PaperParams();
+  int n = 1;
+  for (auto _ : state) {
+    static_cast<void>(_);
+    auto bs = core::BufferSizeByRecurrence(p, n, 3);
+    bk::DoNotOptimize(bs);
+    n = n % (p.n_max - 1) + 1;
+  }
 }
 
 // --- theorem1_closed_form: Eq. 6 evaluated on-line (what the dynamic
@@ -77,6 +91,17 @@ void BM_TableLookup(bk::State& state) {
     static_cast<void>(_);
     bk::DoNotOptimize(table->GetUnchecked(n, 3));
     n = n % (p.n_max - 1) + 1;
+  }
+}
+
+// --- buffer_size_table_build: filling the whole O(N²) BS_k(n) table, the
+// one-off cost each dynamic allocator pays at construction. ---
+void BM_TableBuild(bk::State& state) {
+  const core::AllocParams p = PaperParams();
+  for (auto _ : state) {
+    static_cast<void>(_);
+    auto table = core::BufferSizeTable::Build(p);
+    bk::DoNotOptimize(table);
   }
 }
 
@@ -155,73 +180,27 @@ void BM_BrokerAdmitRelease(bk::State& state) {
   }
 }
 
-// Structurally identical to VodSimulator's private event record (time +
-// FIFO-tiebreak seq ordering over a binary-heap priority queue): the
-// per-event cost of the simulator's spine.
-struct QueueEvent {
-  Seconds time;
-  std::uint64_t seq = 0;
-  int kind = 0;
-  RequestId request = 0;
-  std::size_t arrival_index = 0;
-  bool operator>(const QueueEvent& other) const {
-    if (time != other.time) return time > other.time;
-    return seq > other.seq;
-  }
-};
-
-// --- event_queue_churn: steady-state push+pop against a 4096-deep heap
-// with SplitMix64-scrambled event times. ---
+// --- event_queue_churn: steady-state push+pop of sim::SimEvent through
+// the simulator's sim::EventQueue, 4096 deep, with SplitMix64-scrambled
+// event times. ---
 void BM_EventQueueChurn(bk::State& state) {
-  std::priority_queue<QueueEvent, std::vector<QueueEvent>,
-                      std::greater<QueueEvent>>
-      queue;
+  constexpr sim::SimEventKind kKind = sim::SimEventKind::kArrival;
+  sim::EventQueue queue;
   std::uint64_t x = 0;
   std::uint64_t seq = 0;
   for (int i = 0; i < 4096; ++i) {
     const double jitter =
         static_cast<double>(sim::SplitMix64(++x) >> 11) * 0x1.0p-53;
-    queue.push(QueueEvent{Seconds(jitter * 86400.0), ++seq, 0, 1, 0});
+    queue.push(sim::SimEvent{Seconds(jitter * 86400.0), ++seq, kKind, 1, 0});
   }
   for (auto _ : state) {
     static_cast<void>(_);
-    const QueueEvent top = queue.top();
+    const sim::SimEvent top = queue.top();
     queue.pop();
     bk::DoNotOptimize(top);
     const double jitter =
         static_cast<double>(sim::SplitMix64(++x) >> 11) * 0x1.0p-53;
-    queue.push(QueueEvent{top.time + Seconds(jitter), ++seq, 0, 1, 0});
-  }
-}
-
-// --- event_queue_churn_calendar: the identical churn pattern through the
-// production sim::EventQueue calendar implementation (the heap bench
-// above is the legacy reference it is differentially tested against, in
-// tests/event_queue_test.cc). Same 4096-deep steady state, same SplitMix64
-// jitter stream, so the two numbers are directly comparable. ---
-void BM_EventQueueChurnCalendar(bk::State& state) {
-  std::unique_ptr<sim::EventQueue> queue =
-      sim::MakeEventQueue(sim::EventQueueKind::kCalendar);
-  std::uint64_t x = 0;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 4096; ++i) {
-    const double jitter =
-        static_cast<double>(sim::SplitMix64(++x) >> 11) * 0x1.0p-53;
-    sim::SimEvent ev;
-    ev.time = Seconds(jitter * 86400.0);
-    ev.seq = ++seq;
-    queue->Push(ev);
-  }
-  for (auto _ : state) {
-    static_cast<void>(_);
-    const sim::SimEvent top = queue->PopTop();
-    bk::DoNotOptimize(top);
-    const double jitter =
-        static_cast<double>(sim::SplitMix64(++x) >> 11) * 0x1.0p-53;
-    sim::SimEvent ev;
-    ev.time = top.time + Seconds(jitter);
-    ev.seq = ++seq;
-    queue->Push(ev);
+    queue.push(sim::SimEvent{top.time + Seconds(jitter), ++seq, kKind, 1, 0});
   }
 }
 
@@ -292,13 +271,14 @@ void RegisterAll(bk::Harness* harness) {
   harness->Register("noop", [](bk::State& state) {
     for (auto _ : state) static_cast<void>(_);
   });
+  harness->Register("recurrence", BM_Recurrence);
   harness->Register("theorem1_closed_form", BM_Theorem1ClosedForm);
   harness->Register("buffer_size_table_lookup", BM_TableLookup);
+  harness->Register("buffer_size_table_build", BM_TableBuild);
   harness->Register("seek_gamma_eval", BM_SeekGamma);
   harness->Register("bubbleup_insert", BM_BubbleUpInsert);
   harness->Register("broker_admit_release", BM_BrokerAdmitRelease);
   harness->Register("event_queue_churn", BM_EventQueueChurn);
-  harness->Register("event_queue_churn_calendar", BM_EventQueueChurnCalendar);
 
   // End-to-end points: one iteration is one whole simulated day, so pin
   // one iteration per repetition and let repetitions supply the sample.

@@ -45,7 +45,6 @@ sim::SimMetrics RunDay(const DayRunConfig& cfg) {
   sc.t_log = cfg.t_log;
   sc.alpha = cfg.alpha;
   sc.seed = cfg.seed;
-  sc.event_queue = cfg.event_queue;
 
   sim::WorkloadConfig w;
   w.duration = cfg.duration;

@@ -64,11 +64,6 @@ struct DayRunConfig {
   /// capacity in bits — required for memsqueeze clauses to have any effect
   /// on a single-disk run (no broker ⇒ unlimited memory).
   Bits memory_capacity;
-  /// Event-queue implementation the run's simulator uses. Either kind pops
-  /// the identical (time, seq) order, so metrics are bit-identical across
-  /// the two; kBinaryHeap pins a run to the legacy reference structure
-  /// (golden-metrics tests exercise both). Excluded from grid seeding.
-  sim::EventQueueKind event_queue = sim::EventQueueKind::kCalendar;
 };
 
 /// Runs one simulated day and returns the finalized metrics.

@@ -1,32 +1,18 @@
 #ifndef VODB_SIM_EVENT_QUEUE_H_
 #define VODB_SIM_EVENT_QUEUE_H_
 
-// The simulator's event spine, behind a small interface so the production
-// calendar queue and the legacy binary heap stay interchangeable:
+// The simulator's event spine: a binary heap that pops in ascending
+// (time, seq) order — seq is the simulator's FIFO tiebreak for events at
+// equal timestamps. That total order is what makes every downstream metric
+// reproducible bit for bit.
 //
-//  - HeapEventQueue wraps std::priority_queue exactly as VodSimulator did
-//    before the interface existed — the reference implementation the
-//    differential tests (tests/event_queue_test.cc) pin the calendar queue
-//    against.
-//
-//  - CalendarEventQueue is a classic calendar queue (Brown 1988): events
-//    hash into time-bucketed "days" of one rotating "year"; push and pop
-//    are O(1) amortized when the bucket width tracks the mean event gap.
-//    The width is re-estimated on occupancy resizes and when pops observe
-//    pathological bucket shapes, so workloads that drift (a simulated day's
-//    arrival rate swings 10x) stay near the O(1) regime.
-//
-// Both implementations pop in exactly the same total order: ascending
-// (time, seq) — seq is the simulator's FIFO tiebreak for events at equal
-// timestamps. Identical pop order is what makes every downstream metric
-// byte-identical across implementations, which the golden-metrics and
-// chaos suites assert in both configurations.
+// A per-disk queue holds that disk's undispatched arrivals plus a few
+// events per admitted stream: too shallow for a calendar queue's O(1)
+// bound to beat the heap's O(log n) (DESIGN.md §9 has the measurements).
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <queue>
-#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -52,131 +38,22 @@ struct SimEvent {
   std::size_t arrival_index = 0;
 };
 
-/// Strict total order the queues pop in: ascending (time, seq).
+/// Strict total order the queue pops in: ascending (time, seq).
 inline bool EventBefore(const SimEvent& a, const SimEvent& b) {
   if (a.time != b.time) return a.time < b.time;
   return a.seq < b.seq;
 }
 
-/// Which implementation a simulator runs on.
-enum class EventQueueKind {
-  kCalendar,    ///< Production: O(1) amortized calendar queue.
-  kBinaryHeap,  ///< Reference: the legacy std::priority_queue.
+/// EventBefore reversed, so std::priority_queue's max-heap pops the
+/// earliest event first.
+struct EventAfter {
+  bool operator()(const SimEvent& a, const SimEvent& b) const {
+    return EventBefore(b, a);
+  }
 };
 
-std::string_view EventQueueKindName(EventQueueKind kind);
-
-/// Priority-queue contract over SimEvent, min-first by (time, seq).
-class EventQueue {
- public:
-  virtual ~EventQueue() = default;
-
-  virtual void Push(const SimEvent& ev) = 0;
-
-  /// The earliest event, or nullptr when empty. The pointer is valid until
-  /// the next Push/PopTop.
-  virtual const SimEvent* Peek() const = 0;
-
-  /// Removes and returns the earliest event. The queue must not be empty.
-  virtual SimEvent PopTop() = 0;
-
-  virtual std::size_t size() const = 0;
-  bool empty() const { return size() == 0; }
-};
-
-std::unique_ptr<EventQueue> MakeEventQueue(EventQueueKind kind);
-
-/// Reference implementation: binary heap (std::priority_queue), exactly the
-/// structure VodSimulator used before the interface existed.
-class HeapEventQueue final : public EventQueue {
- public:
-  void Push(const SimEvent& ev) override;
-  const SimEvent* Peek() const override;
-  SimEvent PopTop() override;
-  std::size_t size() const override { return heap_.size(); }
-
- private:
-  struct After {
-    bool operator()(const SimEvent& a, const SimEvent& b) const {
-      return EventBefore(b, a);  // Min-heap via the shared total order.
-    }
-  };
-  std::priority_queue<SimEvent, std::vector<SimEvent>, After> heap_;
-};
-
-/// Production implementation: calendar queue. Buckets are unsorted vectors
-/// (swap-pop removal). Every event stores its cycle number floor(t / width)
-/// as computed at placement; the per-pop scan walks cycles in ascending
-/// order and filters bucket entries by *cycle equality*, so placement and
-/// lookup can never disagree about which window an event belongs to (the
-/// classic calendar-queue float-boundary bug class is gone by construction;
-/// floor(t / w) is monotone in t, so the minimum cycle holds the minimum
-/// time). Far-future gaps — beyond one full year of buckets — fall back to
-/// a direct O(n) sweep that repositions the calendar, so pop order is exact
-/// for any input pattern; bucket geometry only ever affects speed.
-class CalendarEventQueue final : public EventQueue {
- public:
-  /// `initial_buckets` must be a power of two.
-  explicit CalendarEventQueue(std::size_t initial_buckets = 32);
-
-  void Push(const SimEvent& ev) override;
-  const SimEvent* Peek() const override;
-  SimEvent PopTop() override;
-  std::size_t size() const override { return size_; }
-
-  // Introspection for tests and benches.
-  std::size_t bucket_count() const { return buckets_.size(); }
-  double bucket_width() const { return width_; }
-  long resizes() const { return resizes_; }
-  long direct_searches() const { return direct_searches_; }
-
- private:
-  /// A stored event plus its calendar cycle floor(t / width_), computed
-  /// when it was placed (and recomputed on every Resize).
-  struct Entry {
-    SimEvent ev;
-    double cycle = 0.0;
-  };
-
-  struct TopRef {
-    bool valid = false;
-    std::size_t bucket = 0;
-    std::size_t slot = 0;
-    SimEvent ev;
-  };
-
-  double CycleFor(double t) const;
-  std::size_t BucketOf(double cycle) const;
-  /// Points the scan cursor at `cycle`.
-  void SeekCursorTo(double cycle) const;
-  /// Locates the minimum event (cycle scan, then direct sweep); fills
-  /// `top_`. False when empty.
-  bool LocateTop() const;
-  /// Redistributes into `nbuckets` buckets with a freshly estimated width.
-  void Resize(std::size_t nbuckets);
-  double EstimateWidth();
-
-  std::vector<std::vector<Entry>> buckets_;
-  std::size_t mask_;           ///< bucket_count - 1 (power of two).
-  double width_ = 1.0;         ///< Bucket width in seconds.
-  std::size_t size_ = 0;
-  std::uint64_t ops_since_resize_ = 0;
-
-  // Scan cursor: the cycle currently being scanned and its bucket. Mutated
-  // by the logically-const top search.
-  mutable double cur_cycle_ = 0.0;
-  mutable std::size_t cur_ = 0;
-  mutable TopRef top_;
-  /// Set when a pop observed a pathologically crowded bucket or needed a
-  /// direct sweep: the next mutation re-estimates the width.
-  mutable bool rewidth_pending_ = false;
-
-  long resizes_ = 0;
-  mutable long direct_searches_ = 0;
-
-  std::vector<SimEvent> scratch_;       ///< Reused by Resize.
-  std::vector<double> width_scratch_;   ///< Reused by EstimateWidth.
-};
+using EventQueue =
+    std::priority_queue<SimEvent, std::vector<SimEvent>, EventAfter>;
 
 }  // namespace vod::sim
 

@@ -145,8 +145,7 @@ VodSimulator::VodSimulator(const SimConfig& config,
       disk_(config.profile), allocator_(std::move(allocator)),
       scheduler_(std::move(scheduler)), broker_(broker),
       rng_(config.seed, /*stream=*/0x9e3779b97f4a7c15ULL ^
-                            static_cast<std::uint64_t>(config.disk_id)),
-      events_(MakeEventQueue(config.event_queue)) {
+                            static_cast<std::uint64_t>(config.disk_id)) {
   metrics_.initial_latency_by_n.resize(
       static_cast<std::size_t>(alloc_params_.n_max) + 1);
 }
@@ -159,6 +158,8 @@ Status VodSimulator::AddArrivals(const std::vector<ArrivalEvent>& arrivals) {
     if (ev.video < 0 || ev.video >= layout_.video_count()) {
       return Status::InvalidArgument("arrival references unknown video");
     }
+  }
+  for (const ArrivalEvent& ev : arrivals) {
     arrivals_.push_back(ev);
     Push(ev.time, SimEventKind::kArrival, kInvalidRequestId,
          arrivals_.size() - 1);
@@ -174,18 +175,18 @@ void VodSimulator::Push(Seconds time, SimEventKind kind, RequestId id,
   ev.kind = kind;
   ev.request = id;
   ev.arrival_index = arrival_index;
-  events_->Push(ev);
+  events_.push(ev);
 }
 
 Seconds VodSimulator::NextEventTime() const {
-  const SimEvent* top = events_->Peek();
-  return top == nullptr ? kInf : top->time;
+  return events_.empty() ? kInf : events_.top().time;
 }
 
 bool VodSimulator::Step() {
   VODB_PROF_SCOPE("sim.step");
-  if (events_->empty()) return false;
-  const SimEvent ev = events_->PopTop();
+  if (events_.empty()) return false;
+  const SimEvent ev = events_.top();
+  events_.pop();
   VOD_DCHECK(ev.time >= now_ - kEps);
 #if VODB_AUDIT_ENABLED
   auditor_.CheckEventTime(ev.time);
@@ -216,17 +217,11 @@ bool VodSimulator::Step() {
 }
 
 void VodSimulator::RunUntil(Seconds t) {
-  while (const SimEvent* top = events_->Peek()) {
-    if (top->time > t) break;
-    Step();
-  }
+  while (!events_.empty() && !(events_.top().time > t)) Step();
 }
 
 void VodSimulator::RunUntilBefore(Seconds t) {
-  while (const SimEvent* top = events_->Peek()) {
-    if (!(top->time < t)) break;
-    Step();
-  }
+  while (!events_.empty() && events_.top().time < t) Step();
 }
 
 void VodSimulator::RunToCompletion() {
@@ -266,7 +261,7 @@ void VodSimulator::SampleTimeseries() {
   sample.reserved =
       broker_ != nullptr ? broker_->ReservedMemory() : Bits(0);
   sample.buffered = TotalBufferedBits(now_);
-  sample.queue_depth = static_cast<int>(events_->size());
+  sample.queue_depth = static_cast<int>(events_.size());
   sample.active = allocator_->active_count();
   int degraded = 0;
   for (const auto& node : requests_) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/arena.h"
@@ -63,10 +64,6 @@ struct SimConfig {
   /// every metric bit-identical to an uninjected run (observer effect:
   /// none). Multi-disk servers share one injector across their disks.
   fault::Injector* injector = nullptr;
-  /// Event-queue implementation. Both pop in the identical (time, seq)
-  /// order, so every metric is bit-identical across the two; kBinaryHeap is
-  /// the legacy reference the differential tests pin the calendar against.
-  EventQueueKind event_queue = EventQueueKind::kCalendar;
 
   Status Validate() const;
 };
@@ -91,6 +88,7 @@ class VodSimulator : public sched::SchedulerContext {
   VodSimulator& operator=(const VodSimulator&) = delete;
 
   /// Feeds arrivals (time-sorted). Call before stepping past their times.
+  /// All or nothing: a batch with an invalid arrival queues none of it.
   Status AddArrivals(const std::vector<ArrivalEvent>& arrivals);
 
   /// Processes one arrival synchronously at the current clock (the event
@@ -160,7 +158,7 @@ class VodSimulator : public sched::SchedulerContext {
   const core::AllocParams& alloc_params() const { return alloc_params_; }
   int active_count() const { return allocator_->active_count(); }
   /// Events currently queued (arrivals not yet dispatched included).
-  std::size_t event_count() const { return events_->size(); }
+  std::size_t event_count() const { return events_.size(); }
   const disk::SimulatedDisk& disk() const { return disk_; }
 
   // --- sched::SchedulerContext ---
@@ -251,7 +249,7 @@ class VodSimulator : public sched::SchedulerContext {
 
   Seconds now_;
   std::uint64_t next_seq_ = 0;
-  std::unique_ptr<EventQueue> events_;
+  EventQueue events_;
   std::vector<ArrivalEvent> arrivals_;
   std::vector<Seconds> arrival_times_;  ///< For estimation resolution.
 

@@ -249,42 +249,6 @@ TEST(ChaosGoldenTest, ZeroFaultInjectorIsBitIdenticalToBaseline) {
   }
 }
 
-/// A fault-heavy day run on the legacy binary-heap event queue must be
-/// bit-identical to the same day on the default calendar queue: fault
-/// injection exercises the event patterns the plain goldens do not (retry
-/// wakeups, outage-resume wakeups, failed-read completions), and both
-/// queue implementations claim the same strict (time, seq) pop order under
-/// all of them.
-TEST(ChaosGoldenTest, LegacyBinaryHeapQueueShardsChaosIdentically) {
-  for (const char* scenario : {"latency", "eio", "memsqueeze"}) {
-    SCOPED_TRACE(scenario);
-    const DayRunConfig calendar_cfg =
-        ChaosConfig(ScenarioByName(scenario), sim::AllocScheme::kDynamic);
-    ASSERT_EQ(calendar_cfg.event_queue, sim::EventQueueKind::kCalendar);
-    const sim::SimMetrics calendar = RunDay(calendar_cfg);
-
-    DayRunConfig legacy_cfg = calendar_cfg;
-    legacy_cfg.event_queue = sim::EventQueueKind::kBinaryHeap;
-    const sim::SimMetrics legacy = RunDay(legacy_cfg);
-
-    EXPECT_EQ(calendar.admitted, legacy.admitted);
-    EXPECT_EQ(calendar.rejected, legacy.rejected);
-    EXPECT_EQ(calendar.read_faults, legacy.read_faults);
-    EXPECT_EQ(calendar.read_retries, legacy.read_retries);
-    EXPECT_EQ(calendar.hiccup_events, legacy.hiccup_events);
-    EXPECT_EQ(calendar.degraded_streams, legacy.degraded_streams);
-    EXPECT_EQ(calendar.delayed_reads, legacy.delayed_reads);
-    EXPECT_EQ(calendar.starvation_events, legacy.starvation_events);
-    EXPECT_EQ(calendar.initial_latency.mean(), legacy.initial_latency.mean());
-    EXPECT_EQ(calendar.initial_latency.max(), legacy.initial_latency.max());
-    EXPECT_EQ(calendar.memory_usage.max_value(),
-              legacy.memory_usage.max_value());
-    EXPECT_EQ(calendar.disk_busy_time, legacy.disk_busy_time);
-    EXPECT_EQ(calendar.buffer_bits_allocated, legacy.buffer_bits_allocated);
-    EXPECT_EQ(calendar.buffer_bits_released, legacy.buffer_bits_released);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Chaos properties (direct simulator, auditor armed)
 // ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
-// Differential and property tests for sim::EventQueue: the calendar queue
-// must pop in exactly the same total (time, seq) order as the reference
-// binary heap, for any interleaving of pushes and pops — FIFO tie-breaks
-// included. A million randomized operations (SplitMix64-derived, fully
-// deterministic) plus the structural edge cases: empty drain, far-future
-// events that cross bucket-wheel years, clustered bursts that force width
-// re-estimation, and a monotonicity audit over every popped timestamp.
+// Differential and property tests for sim::EventQueue, the simulator's
+// binary-heap event spine: for any interleaving of pushes and pops it must
+// pop exactly what an obviously correct oracle pops — a std::map keyed on
+// (time, seq), whose first entry is by construction the earliest event
+// with FIFO tie-breaks. A million randomized operations (SplitMix64-
+// derived, fully deterministic) across four time regimes, plus the edge
+// cases: pure FIFO at one timestamp, the empty queue, drain-refill-drain,
+// and a monotonicity audit over every popped (time, seq).
 
 #include "sim/event_queue.h"
 
-#include <cmath>
 #include <cstdint>
-#include <vector>
+#include <map>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "sim/rng.h"
@@ -35,6 +36,9 @@ class Gen {
   std::uint64_t state_;
 };
 
+/// The reference: events keyed on (time, seq), so begin() is the minimum.
+using Oracle = std::map<std::pair<double, std::uint64_t>, SimEvent>;
+
 SimEvent MakeEvent(Seconds t, std::uint64_t seq) {
   SimEvent ev;
   ev.time = t;
@@ -53,14 +57,31 @@ void ExpectSameEvent(const SimEvent& a, const SimEvent& b, long op) {
   ASSERT_EQ(a.arrival_index, b.arrival_index) << "op " << op;
 }
 
-/// Drives both implementations through an identical operation stream and
-/// asserts lock-step equality of sizes, peeks, and pops. `advance` biases
-/// push times to a window around the last popped time (the simulator's
-/// pattern: pushes are never in the past), `spread` is the window width.
+void PushBoth(EventQueue& heap, Oracle& oracle, const SimEvent& ev) {
+  heap.push(ev);
+  oracle.emplace(std::make_pair(ev.time.value(), ev.seq), ev);
+}
+
+/// Pops the heap and the oracle once into `*out`; the two popped events
+/// must agree field for field.
+void PopBoth(EventQueue& heap, Oracle& oracle, long op, SimEvent* out) {
+  ASSERT_FALSE(heap.empty()) << "op " << op;
+  ASSERT_FALSE(oracle.empty()) << "op " << op;
+  *out = heap.top();
+  heap.pop();
+  const SimEvent want = oracle.begin()->second;
+  oracle.erase(oracle.begin());
+  ExpectSameEvent(*out, want, op);
+}
+
+/// Drives the heap and the oracle through an identical operation stream and
+/// asserts lock-step equality of sizes and pops. Push times land in a
+/// window of width `spread` after the last popped time (the simulator's
+/// pattern: pushes are never in the past).
 void RunDifferential(std::uint64_t seed, long ops, double spread,
                      double tie_probability) {
-  CalendarEventQueue calendar;
-  HeapEventQueue heap;
+  EventQueue heap;
+  Oracle oracle;
   Gen gen(seed);
   std::uint64_t seq = 0;
   double clock = 0.0;   // Last popped time: pushes land at or after it.
@@ -70,7 +91,7 @@ void RunDifferential(std::uint64_t seed, long ops, double spread,
   std::uint64_t last_pop_seq = 0;
 
   for (long op = 0; op < ops; ++op) {
-    const bool push = calendar.empty() || gen.NextDouble() < 0.55;
+    const bool push = heap.empty() || gen.NextDouble() < 0.55;
     if (push) {
       double t;
       // Deliberate equal-timestamp collision — but never behind the last
@@ -80,42 +101,33 @@ void RunDifferential(std::uint64_t seed, long ops, double spread,
         t = last_tie;
       } else {
         t = clock + gen.NextDouble() * spread;
-        // Occasional far-future outlier, beyond any one bucket-wheel year.
+        // Occasional far-future outlier: a long sparse tail behind the
+        // dense head, like a day's departures behind service churn.
         if (gen.NextBelow(997) == 0) t += spread * 1e6;
         last_tie = t;
       }
-      const SimEvent ev = MakeEvent(Seconds(t), seq++);
-      calendar.Push(ev);
-      heap.Push(ev);
+      PushBoth(heap, oracle, MakeEvent(Seconds(t), seq++));
     } else {
-      const SimEvent* ctop = calendar.Peek();
-      const SimEvent* htop = heap.Peek();
-      ASSERT_NE(ctop, nullptr) << "op " << op;
-      ASSERT_NE(htop, nullptr) << "op " << op;
-      ExpectSameEvent(*ctop, *htop, op);
-      const SimEvent c = calendar.PopTop();
-      const SimEvent h = heap.PopTop();
-      ExpectSameEvent(c, h, op);
+      SimEvent ev;
+      ASSERT_NO_FATAL_FAILURE(PopBoth(heap, oracle, op, &ev));
       // Monotonicity audit: the popped sequence is sorted by (time, seq).
-      ASSERT_TRUE(c.time.value() > last_pop_time ||
-                  (c.time.value() == last_pop_time && c.seq > last_pop_seq))
+      ASSERT_TRUE(ev.time.value() > last_pop_time ||
+                  (ev.time.value() == last_pop_time && ev.seq > last_pop_seq))
           << "op " << op << ": pop order regressed";
-      last_pop_time = c.time.value();
-      last_pop_seq = c.seq;
-      clock = c.time.value();
+      last_pop_time = ev.time.value();
+      last_pop_seq = ev.seq;
+      clock = ev.time.value();
       ++popped;
     }
-    ASSERT_EQ(calendar.size(), heap.size()) << "op " << op;
+    ASSERT_EQ(heap.size(), oracle.size()) << "op " << op;
   }
   // Drain both completely, still in lock-step.
-  while (!heap.empty()) {
-    const SimEvent c = calendar.PopTop();
-    const SimEvent h = heap.PopTop();
-    ExpectSameEvent(c, h, ops + popped);
+  while (!oracle.empty()) {
+    SimEvent ev;
+    ASSERT_NO_FATAL_FAILURE(PopBoth(heap, oracle, ops + popped, &ev));
     ++popped;
   }
-  EXPECT_TRUE(calendar.empty());
-  EXPECT_EQ(calendar.Peek(), nullptr);
+  EXPECT_TRUE(heap.empty());
   EXPECT_GT(popped, ops / 4);  // The stream actually exercised pops.
 }
 
@@ -123,7 +135,7 @@ void RunDifferential(std::uint64_t seed, long ops, double spread,
 
 TEST(EventQueueDifferentialTest, MillionOpsMixedRegimes) {
   // 4 x 250k ops: dense ties, sub-second spacing, minute spacing, and a
-  // sparse regime whose far-future outliers cross wheel years routinely.
+  // sparse regime with routine far-future outliers.
   RunDifferential(/*seed=*/0x1d3a2f9c55ULL, 250000, 0.5, 0.30);
   RunDifferential(/*seed=*/0xbeefcafe01ULL, 250000, 3.0, 0.05);
   RunDifferential(/*seed=*/0x8899aabb02ULL, 250000, 90.0, 0.01);
@@ -132,130 +144,43 @@ TEST(EventQueueDifferentialTest, MillionOpsMixedRegimes) {
 
 TEST(EventQueueDifferentialTest, PureFifoAtOneTimestamp) {
   // Every event at the same instant: pops must follow push order exactly.
-  CalendarEventQueue calendar;
-  HeapEventQueue heap;
+  EventQueue heap;
+  Oracle oracle;
   for (std::uint64_t s = 0; s < 10000; ++s) {
-    const SimEvent ev = MakeEvent(Seconds(42.0), s);
-    calendar.Push(ev);
-    heap.Push(ev);
+    PushBoth(heap, oracle, MakeEvent(Seconds(42.0), s));
   }
   for (std::uint64_t s = 0; s < 10000; ++s) {
-    const SimEvent c = calendar.PopTop();
-    const SimEvent h = heap.PopTop();
-    ASSERT_EQ(c.seq, s);
-    ASSERT_EQ(h.seq, s);
+    SimEvent ev;
+    ASSERT_NO_FATAL_FAILURE(PopBoth(heap, oracle, static_cast<long>(s), &ev));
+    ASSERT_EQ(ev.seq, s);
   }
-  EXPECT_TRUE(calendar.empty());
+  EXPECT_TRUE(heap.empty());
 }
 
-// --- Structural edge cases on the calendar implementation. ---
-
-TEST(CalendarEventQueueTest, EmptyBehaviour) {
-  CalendarEventQueue q;
+TEST(EventQueueTest, EmptyBehaviour) {
+  EventQueue q;
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.Peek(), nullptr);
 }
 
-TEST(CalendarEventQueueTest, DrainRefillDrain) {
-  CalendarEventQueue q;
+TEST(EventQueueTest, DrainRefillDrain) {
+  EventQueue heap;
+  Oracle oracle;
+  std::uint64_t seq = 0;
   for (int round = 0; round < 5; ++round) {
     const double base = round * 1e4;
-    for (std::uint64_t s = 0; s < 100; ++s) {
-      q.Push(MakeEvent(Seconds(base + static_cast<double>(s)), s));
+    // Pushed latest-first, so every push sifts up to the root.
+    for (int i = 99; i >= 0; --i) {
+      PushBoth(heap, oracle, MakeEvent(Seconds(base + i), seq++));
     }
-    for (std::uint64_t s = 0; s < 100; ++s) {
-      ASSERT_EQ(q.PopTop().seq, s) << "round " << round;
+    for (int i = 0; i < 100; ++i) {
+      SimEvent ev;
+      ASSERT_NO_FATAL_FAILURE(PopBoth(heap, oracle, i, &ev));
+      ASSERT_EQ(ev.time.value(), base + i) << "round " << round;
     }
-    ASSERT_TRUE(q.empty());
-    ASSERT_EQ(q.Peek(), nullptr);
+    ASSERT_TRUE(heap.empty());
+    ASSERT_TRUE(oracle.empty());
   }
-}
-
-TEST(CalendarEventQueueTest, FarFutureEventsCrossWheelYears) {
-  // Events spaced so far apart that every pop's target lies many wheel
-  // years past the cursor — the direct-search fallback must keep exact
-  // order (and actually fire).
-  CalendarEventQueue q;
-  Gen gen(7);
-  std::vector<double> times;
-  double t = 0.0;
-  for (int i = 0; i < 500; ++i) {
-    t += 1.0 + gen.NextDouble() * 1e9;  // Gaps up to ~30 wheel-years.
-    times.push_back(t);
-  }
-  // Push in a deterministic shuffle so arrival order != time order.
-  std::vector<std::size_t> order(times.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[gen.NextBelow(i)]);
-  }
-  std::uint64_t seq = 0;
-  for (std::size_t idx : order) {
-    q.Push(MakeEvent(Seconds(times[idx]), seq++));
-  }
-  double prev = -1.0;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    const SimEvent ev = q.PopTop();
-    ASSERT_GT(ev.time.value(), prev);
-    prev = ev.time.value();
-  }
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarEventQueueTest, ClusteredBurstTriggersRewidth) {
-  // A wide-spread warm-up fixes a coarse width, then a dense burst lands in
-  // one bucket; the crowded-bucket heuristic must re-estimate the width
-  // (observable as a resize) while keeping exact order throughout.
-  CalendarEventQueue q;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 256; ++i) {
-    q.Push(MakeEvent(Seconds(i * 1000.0), seq++));
-  }
-  for (int i = 0; i < 256; ++i) {
-    ASSERT_LT(q.PopTop().time.value(), 256000.0);
-  }
-  const long resizes_before = q.resizes();
-  for (int i = 0; i < 4096; ++i) {
-    q.Push(MakeEvent(Seconds(300000.0 + i * 1e-4), seq++));
-  }
-  double prev = -1.0;
-  long steady_pops = 0;
-  while (!q.empty()) {
-    const SimEvent ev = q.PopTop();
-    ASSERT_GT(ev.time.value(), prev);
-    prev = ev.time.value();
-    // Steady-state churn at the burst's spacing.
-    if (steady_pops++ < 2048) {
-      q.Push(MakeEvent(Seconds(ev.time.value() + 0.2 * 1e-4 * 4096), seq++));
-    }
-  }
-  EXPECT_GT(q.resizes(), resizes_before)
-      << "burst never re-tuned the bucket width";
-}
-
-TEST(CalendarEventQueueTest, ShrinksAfterDrainingLargePopulation) {
-  CalendarEventQueue q;
-  for (std::uint64_t s = 0; s < 100000; ++s) {
-    q.Push(MakeEvent(Seconds(static_cast<double>(s) * 0.01), s));
-  }
-  const std::size_t peak_buckets = q.bucket_count();
-  EXPECT_GE(peak_buckets, 100000u / 2u / 2u);  // Grew with occupancy.
-  while (q.size() > 100) q.PopTop();
-  EXPECT_LT(q.bucket_count(), peak_buckets);  // And shrank back down.
-}
-
-TEST(EventQueueTest, FactoryAndNames) {
-  EXPECT_EQ(EventQueueKindName(EventQueueKind::kCalendar), "calendar");
-  EXPECT_EQ(EventQueueKindName(EventQueueKind::kBinaryHeap), "binary-heap");
-  auto cal = MakeEventQueue(EventQueueKind::kCalendar);
-  auto heap = MakeEventQueue(EventQueueKind::kBinaryHeap);
-  ASSERT_NE(dynamic_cast<CalendarEventQueue*>(cal.get()), nullptr);
-  ASSERT_NE(dynamic_cast<HeapEventQueue*>(heap.get()), nullptr);
-  cal->Push(MakeEvent(Seconds(1.0), 1));
-  heap->Push(MakeEvent(Seconds(1.0), 1));
-  EXPECT_EQ(cal->PopTop().seq, 1u);
-  EXPECT_EQ(heap->PopTop().seq, 1u);
 }
 
 }  // namespace

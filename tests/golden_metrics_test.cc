@@ -146,48 +146,6 @@ TEST(GoldenMetricsTest, TracerIsPureObserver) {
   }
 }
 
-/// The legacy binary-heap queue is the reference the calendar queue is
-/// differentially tested against: both pop the strict (time, seq) order,
-/// so selecting it must not move a single metric. Exact equality, not
-/// bands — the golden table above is pinned with the default (calendar)
-/// queue, and this test is what lets the legacy configuration keep
-/// claiming those same numbers.
-TEST(GoldenMetricsTest, LegacyBinaryHeapQueueIsBitIdentical) {
-  const DayRunConfig base =
-      GoldenConfig(core::ScheduleMethod::kGss, sim::AllocScheme::kDynamic);
-  ASSERT_EQ(base.event_queue, sim::EventQueueKind::kCalendar);
-  const sim::SimMetrics calendar = RunDay(base);
-
-  DayRunConfig legacy_cfg = base;
-  legacy_cfg.event_queue = sim::EventQueueKind::kBinaryHeap;
-  const sim::SimMetrics legacy = RunDay(legacy_cfg);
-
-  EXPECT_EQ(calendar.arrivals, legacy.arrivals);
-  EXPECT_EQ(calendar.admitted, legacy.admitted);
-  EXPECT_EQ(calendar.rejected, legacy.rejected);
-  EXPECT_EQ(calendar.rejected_capacity, legacy.rejected_capacity);
-  EXPECT_EQ(calendar.rejected_memory, legacy.rejected_memory);
-  EXPECT_EQ(calendar.rejected_invalid, legacy.rejected_invalid);
-  EXPECT_EQ(calendar.deferred_admissions, legacy.deferred_admissions);
-  EXPECT_EQ(calendar.completed, legacy.completed);
-  EXPECT_EQ(calendar.services, legacy.services);
-  EXPECT_EQ(calendar.starvation_events, legacy.starvation_events);
-  EXPECT_EQ(calendar.initial_latency.mean(), legacy.initial_latency.mean());
-  EXPECT_EQ(calendar.initial_latency.max(), legacy.initial_latency.max());
-  EXPECT_EQ(calendar.memory_usage.max_value(),
-            legacy.memory_usage.max_value());
-  EXPECT_EQ(calendar.disk_busy_time, legacy.disk_busy_time);
-  EXPECT_EQ(calendar.allocations.size(), legacy.allocations.size());
-  for (std::size_t i = 0; i < std::min(calendar.allocations.size(),
-                                       legacy.allocations.size());
-       ++i) {
-    EXPECT_EQ(ToSeconds(calendar.allocations[i].time),
-              ToSeconds(legacy.allocations[i].time));
-    EXPECT_EQ(ToBits(calendar.allocations[i].buffer_size),
-              ToBits(legacy.allocations[i].buffer_size));
-  }
-}
-
 /// `rejected` is documented as the exact sum of the per-cause counters.
 TEST(GoldenMetricsTest, RejectionBreakdownSumsToTotal) {
   for (const GoldenRow& golden : kGolden) {

@@ -15,8 +15,7 @@
 // depends on sibling disks, so the sharded run must equal the serial
 // interleaved run exactly — except the memory_reserved series, which by
 // design records epoch-snapshot pricing (a frozen view reports sibling
-// reservations as of epoch start, the serial run reports them live). And
-// the calendar/binary-heap event queues must shard identically.
+// reservations as of epoch start, the serial run reports them live).
 
 #include <cstdint>
 #include <cstdio>
@@ -34,13 +33,12 @@
 namespace vod::sim {
 namespace {
 
-SimConfig BaseConfig(EventQueueKind queue = EventQueueKind::kCalendar) {
+SimConfig BaseConfig() {
   SimConfig base;
   base.method = core::ScheduleMethod::kRoundRobin;
   base.scheme = AllocScheme::kDynamic;
   base.t_log = Minutes(40);
   base.seed = 11;
-  base.event_queue = queue;
   return base;
 }
 
@@ -253,20 +251,6 @@ TEST(ShardedSimTest, TightMemoryShardedRunStaysSane) {
                 1e-9 * ToBits(m.buffer_bits_allocated));
   }
   EXPECT_DOUBLE_EQ(ToBits(md->broker().ReservedMemory()), 0.0);
-}
-
-// --- Event-queue cross-checks (legacy config keeps working, sharded). ---
-
-TEST(ShardedSimTest, CalendarAndBinaryHeapShardIdentically) {
-  // The two queue implementations pop the same (time, seq) order, so the
-  // whole sharded pipeline on top of them must agree bit for bit.
-  const auto arrivals = Workload(3, 70, 91);
-  const Bits capacity = Mebibytes(30);
-  EXPECT_EQ(
-      RunSharded(BaseConfig(EventQueueKind::kCalendar), 3, capacity, arrivals,
-                 4),
-      RunSharded(BaseConfig(EventQueueKind::kBinaryHeap), 3, capacity,
-                 arrivals, 4));
 }
 
 TEST(ShardedSimTest, SerialPathUnchangedByViewIndirection) {

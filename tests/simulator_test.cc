@@ -239,6 +239,13 @@ TEST(SimulatorTest, AddArrivalsValidates) {
   bad.video = 999;
   bad.viewing_time = Seconds(60);
   EXPECT_FALSE((*sim)->AddArrivals({bad}).ok());
+
+  // All or nothing: a valid arrival ahead of the invalid one is not queued.
+  ArrivalEvent good = bad;
+  good.video = 0;
+  EXPECT_FALSE((*sim)->AddArrivals({good, bad}).ok());
+  EXPECT_EQ((*sim)->event_count(), 0u);
+  EXPECT_EQ((*sim)->NextEventTime(), Seconds::Infinity());
 }
 
 TEST(SimulatorTest, ConfigValidation) {

@@ -36,7 +36,6 @@ TEST(SoakTest, TenDiskDayUnderChurnKeepsEveryInvariant) {
   base.scheme = AllocScheme::kDynamic;
   base.t_log = Minutes(40);
   base.seed = 97;
-  base.event_queue = EventQueueKind::kCalendar;
 
   WorkloadConfig w;
   w.duration = Hours(24);
