@@ -2,8 +2,9 @@
 // VODB_PROF_SCOPE table names them): BS_k(n) three ways (recurrence,
 // Theorem-1 closed form, and the O(N²) table's lookup and build — the
 // Sec. 3.3 ablation), BubbleUp insertion, memory-broker admit/release,
-// the seek-model γ(x) curve, event-queue churn, and end-to-end RunDay
-// throughput for one static and one dynamic grid point.
+// the seek-model γ(x) curve, event-queue churn, the cost of one profiling
+// scope, and end-to-end RunDay throughput for one static and one dynamic
+// grid point.
 //
 // Emits the BENCH_<host>.json artifact scripts/bench_compare.py diffs
 // against bench/baselines/BENCH_baseline.json (the committed perf
@@ -34,6 +35,7 @@
 #include "exp/day_run.h"
 #include "exp/sharded.h"
 #include "exp/thread_pool.h"
+#include "obs/profile.h"
 #include "sched/round_robin.h"
 #include "sim/event_queue.h"
 #include "sim/memory_broker.h"
@@ -204,6 +206,16 @@ void BM_EventQueueChurn(bk::State& state) {
   }
 }
 
+// --- prof_scope: one empty VODB_PROF_SCOPE, the profiler's own cost per
+// scope (the simulator's event loop enters about 4.5 per event). Measures
+// the loop alone with -DVODB_PROF=OFF. ---
+void BM_ProfScope(bk::State& state) {
+  for (auto _ : state) {
+    static_cast<void>(_);
+    VODB_PROF_SCOPE("perf_suite.prof_scope");
+  }
+}
+
 // --- run_day_static / run_day_dynamic: end-to-end sims/sec for one small
 // grid point (3 h day, 150 arrivals — big enough to exercise admission,
 // scheduling, and departure churn; small enough for tight repetitions).
@@ -279,6 +291,7 @@ void RegisterAll(bk::Harness* harness) {
   harness->Register("bubbleup_insert", BM_BubbleUpInsert);
   harness->Register("broker_admit_release", BM_BrokerAdmitRelease);
   harness->Register("event_queue_churn", BM_EventQueueChurn);
+  harness->Register("prof_scope", BM_ProfScope);
 
   // End-to-end points: one iteration is one whole simulated day, so pin
   // one iteration per repetition and let repetitions supply the sample.

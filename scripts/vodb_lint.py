@@ -31,11 +31,13 @@ Line-grep rules (backend-independent):
 
   raw-timing
       All host-clock access in src/ goes through src/obs/clock.h
-      (obs::MonotonicNanos / obs::Stopwatch): one clock source means traces,
-      profiles, and pool stats are mutually comparable, and keeps wall-clock
-      reads out of code that must depend only on *simulated* time. Direct
-      std::chrono / clock_gettime / gettimeofday use is flagged everywhere
-      under src/ except src/obs/ itself.
+      (obs::MonotonicNanos / obs::Stopwatch / obs::ProfTicks): one clock
+      source means traces, profiles, and pool stats are mutually
+      comparable, and keeps wall-clock reads out of code that must depend
+      only on *simulated* time. Direct std::chrono / clock_gettime /
+      gettimeofday use and cycle-counter reads (__rdtsc,
+      __builtin_ia32_rdtsc, rdtscp, including the mnemonic inside an asm
+      string) are flagged everywhere under src/ except src/obs/ itself.
 
   unconsumed-status
       Every call to a function returning vod::Status or vod::Result must
@@ -394,7 +396,10 @@ def check_hot_loop_checks(root: str, findings: Findings) -> None:
 # ---------------------------------------------------------------------------
 
 RAW_TIMING_RE = re.compile(
-    r"\bstd::chrono\b|\bclock_gettime\b|\bgettimeofday\b")
+    r"\bstd::chrono\b|\bclock_gettime\b|\bgettimeofday\b"
+    r"|\b(?:__builtin_ia32_|__)?rdtscp?\b")
+# The cycle-counter mnemonic inside a string literal (inline asm).
+CYCLE_ASM_RE = re.compile(r'"[^"\n]*\brdtscp?\b')
 
 
 def check_raw_timing(root: str, findings: Findings) -> None:
@@ -409,14 +414,20 @@ def check_raw_timing(root: str, findings: Findings) -> None:
         lines = text.splitlines()
         clean = strip_comments(text)
         for lineno, line in enumerate(clean.splitlines(), start=1):
-            if not RAW_TIMING_RE.search(line):
+            # A literal counts only where its quote survived comment
+            # stripping, i.e. it is code, not commented-out text.
+            in_literal = any(line[m.start()] == '"' for m in
+                         CYCLE_ASM_RE.finditer(lines[lineno - 1])
+                         if m.start() < len(line))
+            if not (RAW_TIMING_RE.search(line) or in_literal):
                 continue
             if allowed(lines, lineno, "raw-timing"):
                 continue
             findings.report(
                 rel, lineno, "raw-timing",
                 "raw host-clock access outside src/obs; use "
-                "obs::MonotonicNanos()/obs::Stopwatch from obs/clock.h")
+                "obs::MonotonicNanos()/obs::Stopwatch/obs::ProfTicks() "
+                "from obs/clock.h")
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,13 @@
 
 #include "obs/clock.h"
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <x86intrin.h>
-#endif
-
 namespace vod::bench_kit {
 
 std::int64_t WallNanos() { return obs::MonotonicNanos(); }
 
 std::uint64_t CycleNow() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __rdtsc();
+#if defined(__x86_64__)
+  return static_cast<std::uint64_t>(obs::ProfTicks());  // The TSC.
 #elif defined(__aarch64__)
   std::uint64_t v = 0;
   asm volatile("mrs %0, cntvct_el0" : "=r"(v));
@@ -23,7 +19,7 @@ std::uint64_t CycleNow() {
 }
 
 bool CyclesAvailable() {
-#if defined(__x86_64__) || defined(__i386__) || defined(__aarch64__)
+#if defined(__x86_64__) || defined(__aarch64__)
   return true;
 #else
   return false;

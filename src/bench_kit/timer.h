@@ -16,10 +16,11 @@ using TimeFn = std::function<std::int64_t()>;
 /// The production clock: obs::MonotonicNanos.
 std::int64_t WallNanos();
 
-/// Cycle counter read (rdtsc on x86-64, cntvct_el0 on aarch64). Returns 0
-/// on architectures without an accessible counter — callers must treat a
-/// zero delta as "cycles unavailable". Not serializing: suitable for timing
-/// loops of thousands of iterations, not single instructions.
+/// Cycle counter read (the TSC through obs::ProfTicks() on x86-64,
+/// cntvct_el0 on aarch64). Returns 0 on architectures without an accessible
+/// counter — callers must treat a zero delta as "cycles unavailable". Not
+/// serializing: suitable for timing loops of thousands of iterations, not
+/// single instructions.
 std::uint64_t CycleNow();
 
 /// True when CycleNow() reads a real counter on this build.

@@ -3,9 +3,38 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/check.h"
 #include "common/det.h"
 
 namespace vod::obs {
+
+/// Owns one thread's counter block for the thread's lifetime: registers it
+/// with the global profiler on construction and folds it into the retired
+/// totals when the thread exits.
+class Profiler::ThreadHandle {
+ public:
+  ThreadHandle() {
+    Profiler& prof = Global();
+    MutexLock lock(prof.mu_);
+    prof.live_.push_back(&block_);
+  }
+  ~ThreadHandle() {
+    t_block_ = nullptr;
+    Profiler& prof = Global();
+    MutexLock lock(prof.mu_);
+    Accumulate(block_, &prof.retired_);
+    prof.live_.erase(std::find(prof.live_.begin(), prof.live_.end(), &block_));
+  }
+  ThreadHandle(const ThreadHandle&) = delete;
+  ThreadHandle& operator=(const ThreadHandle&) = delete;
+
+  ThreadBlock* block() { return &block_; }
+
+ private:
+  ThreadBlock block_;
+};
+
+Profiler::Profiler() : ticks0_(ProfTicks()), nanos0_(MonotonicNanos()) {}
 
 Profiler& Profiler::Global() {
   static Profiler* const kGlobal = new Profiler();
@@ -16,25 +45,62 @@ ProfSite* Profiler::Register(const std::string& name) {
   MutexLock lock(mu_);
   auto it = sites_.find(name);
   if (it == sites_.end()) {
-    it = sites_.emplace(name, std::make_unique<ProfSite>(name)).first;
+    VOD_CHECK(sites_.size() < kMaxSites);
+    it = sites_.emplace(name, std::make_unique<ProfSite>(name, sites_.size()))
+             .first;
   }
   return it->second.get();
+}
+
+Profiler::ThreadBlock* Profiler::AttachThread() {
+  thread_local ThreadHandle handle;
+  t_block_ = handle.block();
+  return t_block_;
+}
+
+void Profiler::Accumulate(const ThreadBlock& block, Sums* sums) {
+  for (std::size_t i = 0; i < kMaxSites; ++i) {
+    (*sums)[i].calls += block.counters[i].calls.load(std::memory_order_relaxed);
+    (*sums)[i].ticks += block.counters[i].ticks.load(std::memory_order_relaxed);
+  }
+}
+
+Profiler::Sums Profiler::Totals() const {
+  Sums sums = retired_;
+  for (const ThreadBlock* block : live_) Accumulate(*block, &sums);
+  return sums;
+}
+
+double Profiler::NanosPerTick() const {
+  const std::int64_t ticks = ProfTicks() - ticks0_;
+  const std::int64_t nanos = MonotonicNanos() - nanos0_;
+  return ticks > 0 ? static_cast<double>(nanos) / static_cast<double>(ticks)
+                   : 1.0;
 }
 
 std::vector<ProfSiteStats> Profiler::Snapshot() const {
   std::vector<ProfSiteStats> out;
   {
     MutexLock lock(mu_);
+    const Sums totals = Totals();
+    std::int64_t all_calls = 0;
+    for (const Sum& sum : totals) all_calls += sum.calls;
+    if (all_calls != calibrated_calls_) {
+      calibrated_calls_ = all_calls;
+      nanos_per_tick_ = NanosPerTick();
+    }
+    const double seconds_per_tick = nanos_per_tick_ * 1e-9;
     out.reserve(sites_.size());
     for (const auto& [name, site] : sites_) {
-      const std::int64_t calls = site->calls.load(std::memory_order_relaxed);
+      const Sum& now = totals[site->slot];
+      const Sum& base = baseline_[site->slot];
+      const std::int64_t calls = now.calls - base.calls;
       if (calls == 0) continue;
       ProfSiteStats s;
       s.name = name;
       s.calls = calls;
-      s.total = Seconds(static_cast<double>(
-                            site->nanos.load(std::memory_order_relaxed)) *
-                        1e-9);
+      s.total = Seconds(static_cast<double>(now.ticks - base.ticks) *
+                        seconds_per_tick);
       s.mean = s.total / static_cast<double>(calls);
       out.push_back(std::move(s));
     }
@@ -95,10 +161,7 @@ std::string Profiler::ToJson() const {
 
 void Profiler::Reset() {
   MutexLock lock(mu_);
-  for (auto& [name, site] : sites_) {
-    site->calls.store(0, std::memory_order_relaxed);
-    site->nanos.store(0, std::memory_order_relaxed);
-  }
+  baseline_ = Totals();
 }
 
 }  // namespace vod::obs

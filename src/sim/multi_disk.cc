@@ -63,12 +63,14 @@ Result<std::unique_ptr<MultiDiskSimulator>> MultiDiskSimulator::Create(
 
 Status MultiDiskSimulator::AddArrivals(
     const std::vector<ArrivalEvent>& arrivals) {
-  std::vector<std::vector<ArrivalEvent>> per =
+  const std::vector<std::vector<ArrivalEvent>> per =
       SplitByDisk(arrivals, disk_count());
-  for (int d = 0; d < disk_count(); ++d) {
-    VOD_RETURN_IF_ERROR(
-        sims_[static_cast<std::size_t>(d)]->AddArrivals(
-            per[static_cast<std::size_t>(d)]));
+  // All or nothing across disks: check every slice before feeding any.
+  for (std::size_t d = 0; d < sims_.size(); ++d) {
+    VOD_RETURN_IF_ERROR(sims_[d]->ValidateArrivals(per[d]));
+  }
+  for (std::size_t d = 0; d < sims_.size(); ++d) {
+    VOD_RETURN_IF_ERROR(sims_[d]->AddArrivals(per[d]));
   }
   return Status::OK();
 }

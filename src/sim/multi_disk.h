@@ -25,7 +25,8 @@ class MultiDiskSimulator {
   static Result<std::unique_ptr<MultiDiskSimulator>> Create(
       const SimConfig& base, int disk_count, Bits memory_capacity);
 
-  /// Distributes arrivals to disks via their `disk` field.
+  /// Distributes arrivals to disks via their `disk` field. All or nothing:
+  /// when any disk's slice is invalid, no disk queues any arrival.
   Status AddArrivals(const std::vector<ArrivalEvent>& arrivals);
 
   /// Runs all disks to completion on the shared clock.

@@ -150,7 +150,8 @@ VodSimulator::VodSimulator(const SimConfig& config,
       static_cast<std::size_t>(alloc_params_.n_max) + 1);
 }
 
-Status VodSimulator::AddArrivals(const std::vector<ArrivalEvent>& arrivals) {
+Status VodSimulator::ValidateArrivals(
+    const std::vector<ArrivalEvent>& arrivals) const {
   for (const ArrivalEvent& ev : arrivals) {
     if (ev.time < now_) {
       return Status::InvalidArgument("arrival in the past");
@@ -159,6 +160,11 @@ Status VodSimulator::AddArrivals(const std::vector<ArrivalEvent>& arrivals) {
       return Status::InvalidArgument("arrival references unknown video");
     }
   }
+  return Status::OK();
+}
+
+Status VodSimulator::AddArrivals(const std::vector<ArrivalEvent>& arrivals) {
+  VOD_RETURN_IF_ERROR(ValidateArrivals(arrivals));
   for (const ArrivalEvent& ev : arrivals) {
     arrivals_.push_back(ev);
     Push(ev.time, SimEventKind::kArrival, kInvalidRequestId,
@@ -566,8 +572,10 @@ Status VodSimulator::CancelRequest(RequestId id) {
 }
 
 void VodSimulator::TryAdmitPending() {
+  // Runs about once per event; time only the calls with work to do.
+  if (pending_.empty()) return;
   VODB_PROF_SCOPE("sim.admit");
-  if (broker_ != nullptr && !pending_.empty()) broker_->AdvanceTo(now_);
+  if (broker_ != nullptr) broker_->AdvanceTo(now_);
   while (!pending_.empty()) {
     // Sweep* never admits mid-period: the newcomer would perturb the sweep
     // order. Every other method admits whenever the allocator agrees.

@@ -91,6 +91,10 @@ class VodSimulator : public sched::SchedulerContext {
   /// All or nothing: a batch with an invalid arrival queues none of it.
   Status AddArrivals(const std::vector<ArrivalEvent>& arrivals);
 
+  /// The check AddArrivals makes before queueing anything: OK when every
+  /// arrival lies at or after now() and names a video of this disk.
+  Status ValidateArrivals(const std::vector<ArrivalEvent>& arrivals) const;
+
   /// Processes one arrival synchronously at the current clock (the event
   /// time must not precede now()). Returns the assigned request id, or
   /// CapacityExceeded if the request was rejected on the spot. The request

@@ -518,6 +518,23 @@ TEST(MultiDiskTest, TablePricedDayMatchesClosedFormBrokerDay) {
   EXPECT_EQ(Signature(view), with_table);
 }
 
+TEST(MultiDiskTest, AddArrivalsIsAllOrNothingAcrossDisks) {
+  SimConfig base;
+  auto md = MultiDiskSimulator::Create(base, /*disk_count=*/3, Gibibytes(4));
+  ASSERT_TRUE(md.ok()) << md.status().ToString();
+  std::vector<ArrivalEvent> batch(3);
+  for (int d = 0; d < 3; ++d) {
+    batch[static_cast<std::size_t>(d)].time = Seconds(10.0 * (d + 1));
+    batch[static_cast<std::size_t>(d)].viewing_time = Minutes(5);
+    batch[static_cast<std::size_t>(d)].disk = d;
+  }
+  batch[1].video = -1;  // Disk 1's slice is invalid; disks 0 and 2 are fine.
+  EXPECT_FALSE((*md)->AddArrivals(batch).ok());
+  for (int d = 0; d < 3; ++d) {
+    EXPECT_EQ((*md)->sim(d).event_count(), 0u) << "disk " << d;
+  }
+}
+
 TEST(MultiDiskTest, CreateValidates) {
   SimConfig base;
   EXPECT_FALSE(MultiDiskSimulator::Create(base, 0, Gibibytes(1)).ok());

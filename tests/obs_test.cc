@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <latch>
 #include <map>
 #include <memory>
 #include <random>
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "common/det.h"
+#include "obs/clock.h"
 #include "obs/event_tracer.h"
 #include "obs/metrics_registry.h"
 #include "obs/profile.h"
@@ -266,17 +268,27 @@ TEST(MetricsRegistryTest, ToJsonIsDeterministicAndSorted) {
 // Profiler
 // ---------------------------------------------------------------------------
 
+/// The site's row in a fresh snapshot (zero calls when it has none).
+ProfSiteStats StatsOf(const std::string& name) {
+  for (const ProfSiteStats& s : Profiler::Global().Snapshot()) {
+    if (s.name == name) return s;
+  }
+  ProfSiteStats none;
+  none.name = name;
+  return none;
+}
+
 TEST(ProfilerTest, RegisterIsIdempotentAndScopesAccumulate) {
   Profiler& prof = Profiler::Global();
   ProfSite* site = prof.Register("obs_test.site");
   EXPECT_EQ(site, prof.Register("obs_test.site"));
-  const std::int64_t calls_before =
-      site->calls.load(std::memory_order_relaxed);
+  const std::int64_t calls_before = StatsOf("obs_test.site").calls;
   for (int i = 0; i < 10; ++i) {
     ProfScope scope(site);
   }
-  EXPECT_EQ(site->calls.load(std::memory_order_relaxed), calls_before + 10);
-  EXPECT_GE(site->nanos.load(std::memory_order_relaxed), 0);
+  const ProfSiteStats after = StatsOf("obs_test.site");
+  EXPECT_EQ(after.calls, calls_before + 10);
+  EXPECT_GE(after.total, Seconds(0.0));
 
   bool found = false;
   for (const ProfSiteStats& s : prof.Snapshot()) {
@@ -291,6 +303,75 @@ TEST(ProfilerTest, RegisterIsIdempotentAndScopesAccumulate) {
   EXPECT_NE(prof.ToJson().find("obs_test.site"), std::string::npos);
 }
 
+// Every thread records into its own block; a snapshot must count the blocks
+// of threads that already exited (folded into the retired totals) and of
+// threads still alive, exactly, and the count must survive the live
+// threads' exit.
+TEST(ProfilerTest, CallCountsAreExactAcrossLiveAndExitedThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kScopes = 10'000;
+  ProfSite* site = Profiler::Global().Register("obs_test.threads");
+  const std::int64_t before = StatsOf("obs_test.threads").calls;
+  std::latch recorded(kThreads);
+  std::latch release(1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kScopes; ++i) {
+        ProfScope scope(site);
+      }
+      recorded.count_down();
+      if (t >= 2) release.wait();  // Stays alive until after the snapshot.
+    });
+  }
+  recorded.wait();
+  threads[0].join();
+  threads[1].join();
+  EXPECT_EQ(StatsOf("obs_test.threads").calls,
+            before + kThreads * kScopes);
+  release.count_down();
+  threads[2].join();
+  threads[3].join();
+  EXPECT_EQ(StatsOf("obs_test.threads").calls,
+            before + kThreads * kScopes);
+}
+
+TEST(ProfilerTest, ResetThenScopesReportsExactlyThoseCalls) {
+  Profiler& prof = Profiler::Global();
+  ProfSite* site = prof.Register("obs_test.reset");
+  for (int i = 0; i < 5; ++i) {
+    ProfScope scope(site);
+  }
+  prof.Reset();
+  EXPECT_EQ(StatsOf("obs_test.reset").calls, 0);
+  constexpr int kScopes = 37;
+  for (int i = 0; i < kScopes; ++i) {
+    ProfScope scope(site);
+  }
+  EXPECT_EQ(StatsOf("obs_test.reset").calls, kScopes);
+}
+
+// The tick -> ns conversion: a scope around a busy wait of >= 2 ms of
+// MonotonicNanos() must report at least 1 ms, and no more than twice the
+// wall time measured around it (a cycle counter read as if it ticked in
+// ns would be off by the clock rate, several-fold).
+TEST(ProfilerTest, ScopeTimeIsConvertedToWallNanoseconds) {
+  ProfSite* site = Profiler::Global().Register("obs_test.busy_wait");
+  const Seconds before = StatsOf("obs_test.busy_wait").total;
+  const std::int64_t outer_start = MonotonicNanos();
+  {
+    ProfScope scope(site);
+    const std::int64_t start = MonotonicNanos();
+    while (MonotonicNanos() - start < 2'000'000) {
+    }
+  }
+  const Seconds outer(static_cast<double>(MonotonicNanos() - outer_start) *
+                      1e-9);
+  const Seconds timed = StatsOf("obs_test.busy_wait").total - before;
+  EXPECT_GE(timed, Seconds(1e-3));
+  EXPECT_LE(timed, outer * 2.0);
+}
+
 // Regression: Snapshot sorts by total descending with a *name* tie-break.
 // The original std::sort comparator ordered equal totals arbitrarily
 // (std::sort is unstable), so report tables and JSON dumps could differ
@@ -300,9 +381,10 @@ TEST(ProfilerTest, SnapshotTieBreaksEqualTotalsByName) {
   // Registered out of alphabetical order; identical totals and calls.
   for (const char* name : {"obs_test.tie.c", "obs_test.tie.a",
                            "obs_test.tie.b"}) {
-    ProfSite* site = prof.Register(name);
-    site->calls.fetch_add(3, std::memory_order_relaxed);
-    site->nanos.fetch_add(7'000, std::memory_order_relaxed);
+    const ProfSite* site = prof.Register(name);
+    for (const std::int64_t ticks : {1'000, 2'000, 4'000}) {
+      Profiler::Record(*site, ticks);
+    }
   }
   const std::vector<ProfSiteStats> snap = prof.Snapshot();
   auto index_of = [&snap](const std::string& name) {

@@ -605,6 +605,18 @@ class StructuralAstTest(unittest.TestCase):
         self.assertEqual(structural_items(self.fix, backend="ast"), [])
 
 
+# Cycle-counter reads, one a line on lines 3-6.
+CYCLES_CC = """\
+#include <x86intrin.h>
+void Reads(unsigned* aux, unsigned long long* t) {
+  t[0] = __rdtsc();
+  t[1] = __builtin_ia32_rdtsc();
+  t[2] = __rdtscp(aux);
+  asm volatile("rdtscp" : "=a"(aux[0]) : : "rdx", "rcx");
+}
+"""
+
+
 # ---------------------------------------------------------------------------
 # Legacy line rules (smoke coverage through the same fixture machinery)
 # ---------------------------------------------------------------------------
@@ -634,6 +646,33 @@ class LineRulesTest(unittest.TestCase):
                        "#include <chrono>\n"
                        "auto Now() { return std::chrono::steady_clock"
                        "::now(); }\n")
+        self.assertEqual(self.run_checks(V.check_raw_timing), [])
+
+    def test_raw_timing_flags_cycle_counter_reads(self) -> None:
+        self.fix.write("src/x/cycles.cc", CYCLES_CC)
+        items = self.run_checks(V.check_raw_timing)
+        self.assertEqual(rules_of(items), {"raw-timing"})
+        self.assertEqual(sorted(line for _, line, _, _ in items),
+                         [3, 4, 5, 6])
+
+    def test_raw_timing_allows_cycle_counter_in_obs(self) -> None:
+        self.fix.write("src/obs/cycles.cc", CYCLES_CC)
+        self.assertEqual(self.run_checks(V.check_raw_timing), [])
+
+    def test_raw_timing_ignores_cycle_counter_lookalikes(self) -> None:
+        self.fix.write("src/x/lookalike.cc",
+                       "// __rdtsc() would be faster; see obs/clock.h.\n"
+                       "/* asm(\"rdtsc\") */\n"
+                       "int rdtsc_budget = 0;\n"
+                       "int my_rdtscp = 0;\n")
+        self.assertEqual(self.run_checks(V.check_raw_timing), [])
+
+    def test_raw_timing_allow_comment_suppresses_cycle_counter(self) -> None:
+        self.fix.write("src/x/allowed.cc",
+                       "#include <x86intrin.h>\n"
+                       "unsigned long long Now() {\n"
+                       "  return __rdtsc();  // vodb-lint: allow(raw-timing)\n"
+                       "}\n")
         self.assertEqual(self.run_checks(V.check_raw_timing), [])
 
     def test_check_in_hot_loop_fires(self) -> None:
@@ -716,6 +755,15 @@ class CliTest(unittest.TestCase):
             self.run_cli(["--ast", "--require-ast", "--compdb",
                           os.path.join(self.fix.root, "nonexistent"),
                           self.fix.root]), 2)
+
+    def test_raw_timing_fires_on_both_backends(self) -> None:
+        # A line rule: it must report under the token backend and under
+        # --ast alike (the AST run falls back where libclang is absent).
+        self.fix.write("src/x/cycles.cc", CYCLES_CC)
+        self.assertEqual(self.run_cli([self.fix.root]), 1)
+        self.assertEqual(
+            self.run_cli(["--ast", "--compdb", self.fix.write_compdb(),
+                          self.fix.root]), 1)
 
     def test_repo_is_clean(self) -> None:
         # The real repository must lint clean with the token backend (the
