@@ -1,10 +1,10 @@
 // Microbenchmark suite over the simulator's hot paths (the profiler's
 // VODB_PROF_SCOPE table names them): BS_k(n) three ways (recurrence,
 // Theorem-1 closed form, and the O(N²) table's lookup and build — the
-// Sec. 3.3 ablation), BubbleUp insertion, memory-broker admit/release,
-// the seek-model γ(x) curve, event-queue churn, the cost of one profiling
-// scope, and end-to-end RunDay throughput for one static and one dynamic
-// grid point.
+// Sec. 3.3 ablation), BubbleUp insertion, the lazy scheduling decision,
+// memory-broker admit/release, the seek-model γ(x) curve, event-queue
+// churn, the cost of one profiling scope, and end-to-end RunDay
+// throughput for one static and one dynamic grid point.
 //
 // Emits the BENCH_<host>.json artifact scripts/bench_compare.py diffs
 // against bench/baselines/BENCH_baseline.json (the committed perf
@@ -121,9 +121,11 @@ void BM_SeekGamma(bk::State& state) {
   }
 }
 
-// Minimal scheduler context: every request needs service, established
-// deadlines are far out, so Next() takes the BubbleUp branch and its
-// displacement scan runs over the whole sequence.
+// Minimal scheduler context: every request needs service and established
+// deadlines are far out. With a newcomer at the front, Next() takes the
+// BubbleUp branch, whose displacement scan stops at the first established
+// entry; without one, it takes the lazy branch over the whole sequence.
+// Facts() fills each entry in one step, as the simulator's override does.
 class FlatContext final : public sched::SchedulerContext {
  public:
   explicit FlatContext(RequestId fresh) : fresh_(fresh) {}
@@ -133,6 +135,13 @@ class FlatContext final : public sched::SchedulerContext {
   bool NeedsService(RequestId) const override { return true; }
   Seconds WorstServiceTime(RequestId) const override { return Seconds(0.5); }
   Seconds NewcomerReserve() const override { return Seconds(0.5); }
+  void Facts(const std::vector<RequestId>& seq,
+             std::vector<sched::RequestFacts>* out) const override {
+    out->resize(seq.size());
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      (*out)[i] = {Seconds(1e9), Seconds(0.5), seq[i] == fresh_};
+    }
+  }
 
  private:
   RequestId fresh_;
@@ -157,6 +166,26 @@ void BM_BubbleUpInsert(bk::State& state) {
     bk::DoNotOptimize(decision);
     scheduler.OnServiceComplete(newcomer, Seconds(0));
     scheduler.Remove(newcomer);
+  }
+}
+
+// --- next_lazy: the scheduling decision a simulated day takes almost
+// every time. Next() on a 64-deep Round-Robin ring of established streams
+// with far deadlines (sequence build, one Facts pass, latest safe start),
+// then the chosen stream's OnServiceComplete rotates it to the back. ---
+void BM_NextLazy(bk::State& state) {
+  constexpr int kRingSize = 64;
+  sched::RoundRobinScheduler scheduler;
+  FlatContext ctx(kInvalidRequestId);
+  for (RequestId id = 1; id <= kRingSize; ++id) {
+    scheduler.Add(id, Seconds(0));
+    scheduler.OnServiceComplete(id, Seconds(0));  // Into the ring.
+  }
+  for (auto _ : state) {
+    static_cast<void>(_);
+    auto decision = scheduler.Next(ctx, Seconds(0));
+    bk::DoNotOptimize(decision);
+    scheduler.OnServiceComplete(decision->id, Seconds(0));
   }
 }
 
@@ -289,6 +318,7 @@ void RegisterAll(bk::Harness* harness) {
   harness->Register("buffer_size_table_build", BM_TableBuild);
   harness->Register("seek_gamma_eval", BM_SeekGamma);
   harness->Register("bubbleup_insert", BM_BubbleUpInsert);
+  harness->Register("next_lazy", BM_NextLazy);
   harness->Register("broker_admit_release", BM_BrokerAdmitRelease);
   harness->Register("event_queue_churn", BM_EventQueueChurn);
   harness->Register("prof_scope", BM_ProfScope);

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "common/check.h"
 #include "core/closed_form.h"
 #include "core/static_alloc.h"
 
@@ -97,20 +98,36 @@ void DynamicBufferAllocator::NoteArrival(Seconds now) {
   estimator_.RecordArrival(now);
 }
 
+namespace {
+
+void AddOne(std::map<int, int>* counts, int value) { ++(*counts)[value]; }
+
+void RemoveOne(std::map<int, int>* counts, int value) {
+  auto it = counts->find(value);
+  VOD_CHECK(it != counts->end());
+  if (--it->second == 0) counts->erase(it);
+}
+
+}  // namespace
+
+void DynamicBufferAllocator::Count(const Snapshot& s) {
+  if (!s.allocated) return;
+  AddOne(&ni_plus_ki_, s.n + s.k);
+  AddOne(&ki_, s.k);
+}
+
+void DynamicBufferAllocator::Retract(const Snapshot& s) {
+  if (!s.allocated) return;
+  RemoveOne(&ni_plus_ki_, s.n + s.k);
+  RemoveOne(&ki_, s.k);
+}
+
 int DynamicBufferAllocator::MinNiPlusKi() const {
-  int best = INT_MAX;
-  for (const auto& [id, s] : snapshots_) {
-    if (s.allocated) best = std::min(best, s.n + s.k);
-  }
-  return best;
+  return ni_plus_ki_.empty() ? INT_MAX : ni_plus_ki_.begin()->first;
 }
 
 int DynamicBufferAllocator::MinKi() const {
-  int best = INT_MAX;
-  for (const auto& [id, s] : snapshots_) {
-    if (s.allocated) best = std::min(best, s.k);
-  }
-  return best;
+  return ki_.empty() ? INT_MAX : ki_.begin()->first;
 }
 
 Status DynamicBufferAllocator::Admit(RequestId id, Seconds /*now*/) {
@@ -132,14 +149,21 @@ Status DynamicBufferAllocator::Admit(RequestId id, Seconds /*now*/) {
   return Status::OK();
 }
 
-void DynamicBufferAllocator::Remove(RequestId id) { snapshots_.erase(id); }
+void DynamicBufferAllocator::Remove(RequestId id) {
+  auto it = snapshots_.find(id);
+  if (it == snapshots_.end()) return;
+  Retract(it->second);
+  snapshots_.erase(it);
+}
 
 void DynamicBufferAllocator::MarkDrained(RequestId id) {
   auto it = snapshots_.find(id);
   // Drained requests keep their slot in n but no longer constrain the
   // inertia minima: they will never be re-serviced, so their old snapshot
   // carries no continuity obligation.
-  if (it != snapshots_.end()) it->second.allocated = false;
+  if (it == snapshots_.end()) return;
+  Retract(it->second);
+  it->second.allocated = false;
 }
 
 Result<AllocationDecision> DynamicBufferAllocator::Preview(Seconds now) const {
@@ -172,7 +196,9 @@ Result<AllocationDecision> DynamicBufferAllocator::Allocate(RequestId id,
   }
   Result<AllocationDecision> d = Preview(now);
   if (!d.ok()) return d.status();
+  Retract(it->second);
   it->second = Snapshot{d->n, d->k, /*allocated=*/true};
+  Count(it->second);
   last_usage_period_ = d->usage_period;
   return d;
 }

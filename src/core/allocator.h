@@ -137,10 +137,19 @@ class DynamicBufferAllocator final : public BufferAllocator {
   /// min_i over allocated snapshots of k_i; INT_MAX when none.
   int MinKi() const;
 
+  /// Counts `s` into (or retracts it from) the minima's multisets; a no-op
+  /// for snapshots that are not allocated.
+  void Count(const Snapshot& s);
+  void Retract(const Snapshot& s);
+
   AllocParams params_;
   BufferSizeTable table_;
   ArrivalEstimator estimator_;
   std::map<RequestId, Snapshot> snapshots_;
+  /// Multisets (value -> count) of n_i + k_i and of k_i over the allocated
+  /// snapshots, so both minima are a lookup instead of a walk.
+  std::map<int, int> ni_plus_ki_;
+  std::map<int, int> ki_;
   Seconds last_usage_period_;
   bool enforce_assumptions_ = true;
 };

@@ -12,14 +12,22 @@ GssScheduler::GssScheduler(int group_size) : group_size_(group_size) {
   VOD_CHECK(group_size >= 1);
 }
 
-void GssScheduler::SortByCylinder(const SchedulerContext& ctx,
-                                  std::vector<RequestId>* ids) {
-  std::sort(ids->begin(), ids->end(), [&ctx](RequestId a, RequestId b) {
-    const double ca = ctx.CurrentCylinder(a);
-    const double cb = ctx.CurrentCylinder(b);
-    if (ca != cb) return ca < cb;
-    return a < b;
-  });
+void GssScheduler::EnsureSorted(const SchedulerContext& ctx, Group* group) {
+  if (group->sorted) return;
+  std::sort(group->ids.begin(), group->ids.end(),
+            [&ctx](RequestId a, RequestId b) {
+              const double ca = ctx.CurrentCylinder(a);
+              const double cb = ctx.CurrentCylinder(b);
+              if (ca != cb) return ca < cb;
+              return a < b;
+            });
+  group->sorted = true;
+}
+
+void GssScheduler::RotateFinishedGroup() {
+  groups_.front().sorted = false;
+  groups_.push_back(std::move(groups_.front()));
+  groups_.pop_front();
 }
 
 void GssScheduler::Add(RequestId id, Seconds /*now*/) {
@@ -29,8 +37,9 @@ void GssScheduler::Add(RequestId id, Seconds /*now*/) {
   // "in service" and skipped; otherwise the front group is itself upcoming.
   const std::size_t first_upcoming = roster_active_ && !groups_.empty() ? 1 : 0;
   for (std::size_t i = first_upcoming; i < groups_.size(); ++i) {
-    if (static_cast<int>(groups_[i].size()) < group_size_) {
-      groups_[i].push_back(id);
+    if (static_cast<int>(groups_[i].ids.size()) < group_size_) {
+      groups_[i].ids.push_back(id);
+      groups_[i].sorted = false;
       return;
     }
   }
@@ -38,7 +47,8 @@ void GssScheduler::Add(RequestId id, Seconds /*now*/) {
   // the front group (the one in service, or next to be served), so the
   // newcomer is reached after at most one group turn — Eq. (4)'s 2g slots.
   const std::size_t pos = groups_.empty() ? 0 : 1;
-  std::vector<RequestId> fresh{id};
+  Group fresh;
+  fresh.ids.push_back(id);
   groups_.insert(groups_.begin() + static_cast<std::ptrdiff_t>(pos),
                  std::move(fresh));
 }
@@ -46,10 +56,10 @@ void GssScheduler::Add(RequestId id, Seconds /*now*/) {
 void GssScheduler::Remove(RequestId id) {
   bool removed_front_group = false;
   for (auto git = groups_.begin(); git != groups_.end(); ++git) {
-    auto it = std::find(git->begin(), git->end(), id);
-    if (it == git->end()) continue;
-    git->erase(it);
-    if (git->empty()) {
+    auto it = std::find(git->ids.begin(), git->ids.end(), id);
+    if (it == git->ids.end()) continue;
+    git->ids.erase(it);  // Keeps the remaining members' order.
+    if (git->ids.empty()) {
       removed_front_group = git == groups_.begin();
       groups_.erase(git);
     }
@@ -61,10 +71,7 @@ void GssScheduler::Remove(RequestId id) {
   if (roster_active_ && current_roster_.empty()) {
     // The in-service group's turn ended with this departure. If the group
     // still exists (wasn't erased as empty), rotate it to the back.
-    if (!removed_front_group && !groups_.empty()) {
-      groups_.push_back(std::move(groups_.front()));
-      groups_.pop_front();
-    }
+    if (!removed_front_group && !groups_.empty()) RotateFinishedGroup();
     roster_active_ = false;
   }
 }
@@ -74,19 +81,22 @@ const std::vector<RequestId>& GssScheduler::ServiceSequence(
   VODB_PROF_SCOPE("sched.gss.sequence");
   if (!roster_active_) {
     // Open the turn of the first group that has work; rotate duty-free
-    // groups to the back (each group inspected at most once).
+    // groups to the back (each group inspected at most once). Sorting the
+    // whole group and then filtering gives the same roster as filtering and
+    // then sorting, because (cylinder, id) is a total order.
     for (std::size_t attempts = 0; attempts < groups_.size(); ++attempts) {
+      Group& front = groups_.front();
+      EnsureSorted(ctx, &front);
       current_roster_.clear();
-      current_roster_.reserve(groups_.front().size());
-      for (RequestId id : groups_.front()) {
+      current_roster_.reserve(front.ids.size());
+      for (RequestId id : front.ids) {
         if (ctx.NeedsService(id)) current_roster_.push_back(id);
       }
       if (!current_roster_.empty()) {
-        SortByCylinder(ctx, &current_roster_);
         roster_active_ = true;
         break;
       }
-      // Rotate the duty-free group to the back; moving the vector keeps
+      // Rotate the duty-free group to the back; moving the group keeps
       // its element storage instead of copying it. The deque node growth
       // is O(groups) once per turn, off the per-request path.
       groups_.push_back(std::move(groups_.front()));  // vodb-lint: allow(alloc-in-hot-path)
@@ -99,16 +109,13 @@ const std::vector<RequestId>& GssScheduler::ServiceSequence(
     if (ctx.NeedsService(id)) seq_.push_back(id);
   }
   // Flatten the remaining groups in cyclic order for deadline lookahead.
-  // `grp_` keeps its capacity across rounds: after warm-up the loop
-  // allocates only when a group outgrows every earlier one.
+  // Each keeps its sweep order between decisions, so only a group whose
+  // order went stale since the last call is sorted again.
   for (std::size_t i = 1; i < groups_.size(); ++i) {
-    grp_.clear();
-    grp_.reserve(groups_[i].size());
-    for (RequestId id : groups_[i]) {
-      if (ctx.NeedsService(id)) grp_.push_back(id);
+    EnsureSorted(ctx, &groups_[i]);
+    for (RequestId id : groups_[i].ids) {
+      if (ctx.NeedsService(id)) seq_.push_back(id);
     }
-    SortByCylinder(ctx, &grp_);
-    seq_.insert(seq_.end(), grp_.begin(), grp_.end());
   }
   return seq_;
 }
@@ -117,16 +124,23 @@ void GssScheduler::OnServiceComplete(RequestId id, Seconds /*now*/) {
   auto it = std::find(current_roster_.begin(), current_roster_.end(), id);
   if (it == current_roster_.end()) {
     // Serviced out of turn (the no-displacement rule reached past the
-    // in-service group under overload). Its own group's turn still stands;
-    // nothing to rotate.
+    // in-service group under overload). Its own group's turn still stands
+    // and nothing rotates, but its cylinder moved, so its group's sweep
+    // order must be rebuilt.
+    for (Group& group : groups_) {
+      if (std::find(group.ids.begin(), group.ids.end(), id) !=
+          group.ids.end()) {
+        group.sorted = false;
+        break;
+      }
+    }
     return;
   }
   current_roster_.erase(it);
   if (current_roster_.empty()) {
     // Group turn complete: rotate it to the back of the cycle.
     VOD_CHECK(!groups_.empty());
-    groups_.push_back(std::move(groups_.front()));
-    groups_.pop_front();
+    RotateFinishedGroup();
     roster_active_ = false;
   }
 }

@@ -15,6 +15,12 @@ namespace vod::sched {
 /// in disk-position order, as late as safely possible (Sweep*).
 ///
 /// With g = 1 this degenerates to Round-Robin; with g >= n to Sweep*.
+///
+/// Each group keeps its ids in cylinder order between sorts and is re-sorted
+/// only when that order may have changed: a member joined, a member was
+/// serviced out of turn, or the group's own turn finished. That relies on
+/// SchedulerContext's contract that a cylinder moves only when its request
+/// completes a service.
 class GssScheduler final : public BufferScheduler {
  public:
   /// `group_size` is g; the paper uses g = 8 (the memory-minimizing size
@@ -32,18 +38,25 @@ class GssScheduler final : public BufferScheduler {
   int group_count() const { return static_cast<int>(groups_.size()); }
 
  private:
-  /// Sorts `ids` by cylinder (sweep order within a group).
-  static void SortByCylinder(const SchedulerContext& ctx,
-                             std::vector<RequestId>* ids);
+  struct Group {
+    std::vector<RequestId> ids;
+    /// Whether `ids` is in (cylinder, id) order, the sweep order.
+    bool sorted = false;
+  };
+
+  /// Sorts `group` by (cylinder, id) unless it is already sorted.
+  static void EnsureSorted(const SchedulerContext& ctx, Group* group);
+
+  /// Moves the front group to the back of the cycle after its turn; its
+  /// members were serviced, so their cylinders moved.
+  void RotateFinishedGroup();
 
   int group_size_;
   /// Groups in cyclic service order; front() is the group being serviced.
-  std::deque<std::vector<RequestId>> groups_;
+  std::deque<Group> groups_;
   /// Members of the front group not yet serviced this turn, sweep-ordered.
   std::vector<RequestId> current_roster_;
   bool roster_active_ = false;
-  /// ServiceSequence scratch for per-group sweep sorting.
-  std::vector<RequestId> grp_;
 };
 
 }  // namespace vod::sched

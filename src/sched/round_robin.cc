@@ -17,7 +17,8 @@ void RoundRobinScheduler::Remove(RequestId id) {
     fresh_.erase(fit);
     return;
   }
-  ring_.remove(id);
+  auto rit = std::find(ring_.begin(), ring_.end(), id);
+  if (rit != ring_.end()) ring_.erase(rit);
 }
 
 const std::vector<RequestId>& RoundRobinScheduler::ServiceSequence(

@@ -2,7 +2,6 @@
 #define VODB_SCHED_ROUND_ROBIN_H_
 
 #include <deque>
-#include <list>
 
 #include "sched/scheduler.h"
 
@@ -23,7 +22,9 @@ class RoundRobinScheduler final : public BufferScheduler {
 
  private:
   std::deque<RequestId> fresh_;  ///< Admitted, never serviced; FIFO.
-  std::list<RequestId> ring_;    ///< Ring order; front is next to service.
+  /// Ring order; front is next to service. A deque, so rotating the
+  /// serviced front to the back allocates nothing per service.
+  std::deque<RequestId> ring_;
 };
 
 }  // namespace vod::sched

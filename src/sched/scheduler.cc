@@ -5,23 +5,31 @@
 
 namespace vod::sched {
 
+void SchedulerContext::Facts(const std::vector<RequestId>& seq,
+                             std::vector<RequestFacts>* out) const {
+  out->resize(seq.size());
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    RequestFacts& f = (*out)[i];
+    f.deadline = BufferDeadline(seq[i]);
+    f.worst_service = WorstServiceTime(seq[i]);
+    f.never_serviced = NeverServiced(seq[i]);
+  }
+}
+
 std::optional<ServiceDecision> BufferScheduler::Next(
     const SchedulerContext& ctx, Seconds now) {
   const std::vector<RequestId>& seq = ServiceSequence(ctx, now);
   if (seq.empty()) return std::nullopt;
 
-  // Every branch below reads each per-request fact at most once, and the
-  // two common branches stop after the first couple of sequence entries —
-  // so the decision walks the context lazily with early exits instead of
-  // gathering facts for the whole round up front (measured: an eager
-  // gather tripled bubbleup_insert's per-decision cost).
   ServiceDecision d;
   if (ctx.NeverServiced(seq.front())) {
     // BubbleUp: serve the newcomer immediately — unless doing so would (by
     // worst-case accounting) push the next established buffer's refill past
     // its deadline, in which case catch that one refill up first and retry.
     // The pacing rule below keeps every established buffer one
-    // newcomer-slot ahead, so the displacement test normally passes.
+    // newcomer-slot ahead, so the displacement test normally passes. The
+    // scan stops at the first established entry, so it reads the context
+    // per request instead of gathering the whole sequence's facts.
     Seconds elapsed;
     std::size_t first_established = seq.size();
     for (std::size_t i = 0; i < seq.size(); ++i) {
@@ -41,9 +49,13 @@ std::optional<ServiceDecision> BufferScheduler::Next(
     return d;
   }
 
-  const bool has_fresh = std::any_of(
-      seq.begin(), seq.end(),
-      [&ctx](RequestId id) { return ctx.NeverServiced(id); });
+  // An established buffer leads: the decision needs facts from the whole
+  // sequence (any newcomer deeper in, or the tightest deadline), so read
+  // them in one pass.
+  ctx.Facts(seq, &facts_);
+  const bool has_fresh =
+      std::any_of(facts_.begin(), facts_.end(),
+                  [](const RequestFacts& f) { return f.never_serviced; });
 
   d.id = seq.front();
   if (has_fresh) {
@@ -57,18 +69,17 @@ std::optional<ServiceDecision> BufferScheduler::Next(
     // (k·slots dynamically, N−n free slots statically) and what makes the
     // BubbleUp insertion above safe.
     d.not_before =
-        std::max(now, LatestSafeStart(ctx, seq) - ctx.NewcomerReserve());
+        std::max(now, LatestSafeStart(facts_) - ctx.NewcomerReserve());
   }
   return d;
 }
 
-Seconds LatestSafeStart(const SchedulerContext& ctx,
-                        const std::vector<RequestId>& sequence) {
+Seconds LatestSafeStart(const std::vector<RequestFacts>& facts) {
   Seconds latest = Seconds::Infinity();
   Seconds elapsed;
-  for (RequestId id : sequence) {
-    elapsed += ctx.WorstServiceTime(id);
-    latest = std::min(latest, ctx.BufferDeadline(id) - elapsed);
+  for (const RequestFacts& f : facts) {
+    elapsed += f.worst_service;
+    latest = std::min(latest, f.deadline - elapsed);
   }
   return latest;
 }

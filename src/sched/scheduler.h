@@ -10,8 +10,21 @@
 
 namespace vod::sched {
 
+/// The per-request facts a scheduling decision reads for one sequence
+/// entry, exactly as the per-request methods of SchedulerContext report
+/// them.
+struct RequestFacts {
+  Seconds deadline;              ///< BufferDeadline(id).
+  Seconds worst_service;         ///< WorstServiceTime(id).
+  bool never_serviced = false;   ///< NeverServiced(id).
+};
+
 /// Read-only view of request state the schedulers need. Implemented by the
 /// simulator (and by test fixtures).
+///
+/// Contract the GSS scheduler relies on: CurrentCylinder(id) moves only when
+/// `id` completes a service, that is, between the fill that advanced the
+/// stream's read position and the scheduler's OnServiceComplete(id).
 class SchedulerContext {
  public:
   virtual ~SchedulerContext() = default;
@@ -41,6 +54,14 @@ class SchedulerContext {
   /// allocation schemes budget for (k·slots dynamically, N−n free slots
   /// statically).
   virtual Seconds NewcomerReserve() const = 0;
+
+  /// Fills `out` with one RequestFacts per entry of `seq`, in order. The
+  /// base implementation calls the per-request methods for each entry (test
+  /// contexts inherit it; the auditor replays it as the reference). An
+  /// override must report exactly what the per-request methods report, bit
+  /// for bit, and exists only to read each request once per decision.
+  virtual void Facts(const std::vector<RequestId>& seq,
+                     std::vector<RequestFacts>* out) const;
 };
 
 /// A scheduling decision: service `id`, starting no earlier than
@@ -86,7 +107,10 @@ class BufferScheduler {
   virtual void OnServiceComplete(RequestId id, Seconds now) = 0;
 
   /// Picks the next service and its start time. std::nullopt when nothing
-  /// needs service. The policy combines three rules:
+  /// needs service. The front entry's NeverServiced picks the branch; then
+  /// only the BubbleUp branch reads the context per request (it stops at
+  /// the first established entry), and the other branches read the whole
+  /// sequence through one Facts() call. The policy combines three rules:
   ///  - lazy: with only established buffers queued, start at the latest
   ///    safe moment (maximizes memory sharing);
   ///  - eager on newcomers: while any never-serviced request is queued,
@@ -103,18 +127,22 @@ class BufferScheduler {
   /// rounds). Implementations rebuild it on every call; reuse is what keeps
   /// the per-round scheduling loop allocation-free at steady state.
   std::vector<RequestId> seq_;
+
+ private:
+  /// Next()'s Facts scratch, reused across decisions like `seq_`.
+  std::vector<RequestFacts> facts_;
 };
 
-/// The latest time the server may start working through `sequence` (in
+/// The latest time the server may start working through a sequence (in
 /// order, back to back, each service taking its worst-case time) such that
-/// every request is refilled no later than its deadline:
+/// every request is refilled no later than its deadline, given the
+/// sequence's facts in order:
 ///
 ///   latest = min over positions j of ( deadline_j − Σ_{m<=j} svc_m )
 ///
 /// Starting later than this risks a buffer underflow; starting earlier
 /// only reduces memory sharing. Returns +inf for an empty sequence.
-Seconds LatestSafeStart(const SchedulerContext& ctx,
-                        const std::vector<RequestId>& sequence);
+Seconds LatestSafeStart(const std::vector<RequestFacts>& facts);
 
 }  // namespace vod::sched
 

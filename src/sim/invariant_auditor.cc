@@ -229,6 +229,39 @@ void InvariantAuditor::CheckServiceSequence(const sched::SchedulerContext& ctx,
   }
 }
 
+void InvariantAuditor::CheckSchedulerFacts(const sched::SchedulerContext& ctx,
+                                           const std::vector<RequestId>& seq,
+                                           Seconds now) {
+  ++checks_;
+  ctx.Facts(seq, &facts_);
+  if (facts_.size() != seq.size()) {
+    Report("scheduler-facts", now,
+           "Facts returned " + std::to_string(facts_.size()) +
+               " entries for a sequence of " + std::to_string(seq.size()));
+    return;
+  }
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    const RequestId id = seq[i];
+    const sched::RequestFacts& f = facts_[i];
+    const Seconds deadline = ctx.BufferDeadline(id);
+    const Seconds worst_service = ctx.WorstServiceTime(id);
+    const bool never_serviced = ctx.NeverServiced(id);
+    if (f.deadline != deadline || f.worst_service != worst_service ||
+        f.never_serviced != never_serviced) {
+      Report("scheduler-facts", now,
+             "request " + std::to_string(id) + " at position " +
+                 std::to_string(i) + ": batch (deadline " +
+                 std::to_string(f.deadline.value()) + ", worst service " +
+                 std::to_string(f.worst_service.value()) +
+                 ", never serviced " + std::to_string(f.never_serviced) +
+                 ") != per-request (" + std::to_string(deadline.value()) +
+                 ", " + std::to_string(worst_service.value()) + ", " +
+                 std::to_string(never_serviced) + ")");
+      return;
+    }
+  }
+}
+
 void InvariantAuditor::CheckServiceDecision(
     const sched::SchedulerContext& ctx, const std::vector<RequestId>& seq,
     const sched::ServiceDecision& decision, Seconds now) {
@@ -297,9 +330,11 @@ void InvariantAuditor::CheckServiceDecision(
     }
     return;
   }
-  // Lazy pacing: as late as safely possible minus one newcomer reserve.
+  // Lazy pacing: as late as safely possible minus one newcomer reserve,
+  // from the per-request reference facts (the base Facts, not an override).
+  ctx.sched::SchedulerContext::Facts(seq, &facts_);
   const Seconds latest = std::max(
-      now, sched::LatestSafeStart(ctx, seq) - ctx.NewcomerReserve());
+      now, sched::LatestSafeStart(facts_) - ctx.NewcomerReserve());
   if (!NearlyEqual(decision.not_before, latest) &&
       decision.not_before > latest + kTimeEps) {
     Report("bubbleup-ordering", now,

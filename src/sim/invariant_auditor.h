@@ -100,12 +100,19 @@ class InvariantAuditor {
   void CheckServiceSequence(const sched::SchedulerContext& ctx,
                             const std::vector<RequestId>& seq, Seconds now);
 
+  /// Batched scheduling facts: SchedulerContext::Facts for `seq` reports,
+  /// entry by entry, exactly what the per-request methods report
+  /// (BufferDeadline, WorstServiceTime, NeverServiced). Equality is exact,
+  /// +infinity included: the batch is an optimization, not an estimate.
+  void CheckSchedulerFacts(const sched::SchedulerContext& ctx,
+                           const std::vector<RequestId>& seq, Seconds now);
+
   /// BubbleUp ordering validity: independently recomputes the scheduler's
   /// newcomer-displacement rule and lazy-start pacing (sched::BufferScheduler
-  /// ::Next) and checks the decision agrees — the chosen request is the
-  /// newcomer unless serving it first would push an established buffer past
-  /// its deadline by worst-case accounting, and lazy starts never exceed
-  /// LatestSafeStart minus the newcomer reserve.
+  /// ::Next) from the per-request methods and checks the decision agrees —
+  /// the chosen request is the newcomer unless serving it first would push
+  /// an established buffer past its deadline by worst-case accounting, and
+  /// lazy starts never exceed LatestSafeStart minus the newcomer reserve.
   void CheckServiceDecision(const sched::SchedulerContext& ctx,
                             const std::vector<RequestId>& seq,
                             const sched::ServiceDecision& decision,
@@ -123,6 +130,8 @@ class InvariantAuditor {
   long violations_ = 0;
   Seconds last_event_time_;
   std::map<RequestId, std::pair<Bits, Bits>> ledger_;  ///< delivered, consumed.
+  /// Facts scratch for the two scheduler checks, reused across decisions.
+  std::vector<sched::RequestFacts> facts_;
 };
 
 }  // namespace vod::sim

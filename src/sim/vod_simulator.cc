@@ -324,8 +324,7 @@ VodSimulator::Req& VodSimulator::GetReq(RequestId id) {
   return *r;
 }
 
-Seconds VodSimulator::BufferDeadline(RequestId id) const {
-  const Req& r = GetReq(id);
+Seconds VodSimulator::DeadlineOf(const Req& r) const {
   // An unfilled buffer has no continuity deadline; a fully delivered
   // request never underflows either.
   if (!r.playing || r.delivered >= r.total_bits) return kInf;
@@ -333,8 +332,12 @@ Seconds VodSimulator::BufferDeadline(RequestId id) const {
   return now_ + level / alloc_params_.cr;
 }
 
+Seconds VodSimulator::BufferDeadline(RequestId id) const {
+  return DeadlineOf(GetReq(id));
+}
+
 bool VodSimulator::NeverServiced(RequestId id) const {
-  return !GetReq(id).playing;
+  return NeverServicedOf(GetReq(id));
 }
 
 double VodSimulator::CurrentCylinder(RequestId id) const {
@@ -374,25 +377,44 @@ Seconds VodSimulator::CachedWorstLatency(int n_or_g) const {
   return worst_latency_cache_[i];
 }
 
-Seconds VodSimulator::WorstServiceTime(RequestId id) const {
-  const Req& r = GetReq(id);
-  const core::AllocationDecision d = CachedPreview();
-  const Bits bits = std::min(d.buffer_size, r.total_bits - r.delivered);
+Seconds VodSimulator::LookaheadLatency() const {
   // Lookahead DL uses the *current* load for Sweep (γ(Cyln/n)), the group
   // size for GSS, and the full stroke for Round-Robin.
   const int n_or_g = config_.method == core::ScheduleMethod::kGss
                          ? config_.gss_group_size
                          : std::max(1, allocator_->active_count());
-  const Seconds dl = CachedWorstLatency(n_or_g);
+  return CachedWorstLatency(n_or_g);
+}
+
+Seconds VodSimulator::WorstServiceOf(const Req& r, Bits buffer_size,
+                                     Seconds dl) const {
+  const Bits bits = std::min(buffer_size, r.total_bits - r.delivered);
   return dl + bits / alloc_params_.tr;
+}
+
+Seconds VodSimulator::WorstServiceTime(RequestId id) const {
+  return WorstServiceOf(GetReq(id), CachedPreview().buffer_size,
+                        LookaheadLatency());
+}
+
+void VodSimulator::Facts(const std::vector<RequestId>& seq,
+                         std::vector<sched::RequestFacts>* out) const {
+  out->resize(seq.size());
+  if (seq.empty()) return;
+  const Bits buffer_size = CachedPreview().buffer_size;
+  const Seconds dl = LookaheadLatency();
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    const Req& r = GetReq(seq[i]);
+    sched::RequestFacts& f = (*out)[i];
+    f.deadline = DeadlineOf(r);
+    f.worst_service = WorstServiceOf(r, buffer_size, dl);
+    f.never_serviced = NeverServicedOf(r);
+  }
 }
 
 Seconds VodSimulator::NewcomerReserve() const {
   const core::AllocationDecision d = CachedPreview();
-  const int n_or_g = config_.method == core::ScheduleMethod::kGss
-                         ? config_.gss_group_size
-                         : std::max(1, allocator_->active_count());
-  const Seconds dl = CachedWorstLatency(n_or_g);
+  const Seconds dl = LookaheadLatency();
   const Seconds slot = dl + d.buffer_size / alloc_params_.tr;
   // The scheme's standing insertion budget, in whole service slots. The
   // dynamic scheme sized every buffer for k_c additional services per usage
@@ -708,6 +730,7 @@ void VodSimulator::MaybeScheduleService() {
     const std::vector<RequestId>& seq =
         scheduler_->ServiceSequence(*this, now_);
     auditor_.CheckServiceSequence(*this, seq, now_);
+    auditor_.CheckSchedulerFacts(*this, seq, now_);
     auditor_.CheckServiceDecision(*this, seq, *dec, now_);
   }
 #endif

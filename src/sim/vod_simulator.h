@@ -172,6 +172,10 @@ class VodSimulator : public sched::SchedulerContext {
   bool NeedsService(RequestId id) const override;
   Seconds WorstServiceTime(RequestId id) const override;
   Seconds NewcomerReserve() const override;
+  /// One request lookup per entry; the allocator preview and the lookahead
+  /// disk latency are read once per call.
+  void Facts(const std::vector<RequestId>& seq,
+             std::vector<sched::RequestFacts>* out) const override;
 
  private:
   struct Req {
@@ -242,6 +246,15 @@ class VodSimulator : public sched::SchedulerContext {
   const Req& GetReq(RequestId id) const;
   Req& GetReq(RequestId id);
 
+  /// The scheduling facts of one request. Each per-request SchedulerContext
+  /// method and Facts() read them through these, so the two cannot drift.
+  Seconds DeadlineOf(const Req& r) const;
+  static bool NeverServicedOf(const Req& r) { return !r.playing; }
+  /// `buffer_size` is the allocator preview's, `dl` LookaheadLatency().
+  Seconds WorstServiceOf(const Req& r, Bits buffer_size, Seconds dl) const;
+  /// Worst disk latency of one lookahead service.
+  Seconds LookaheadLatency() const;
+
   SimConfig config_;
   core::AllocParams alloc_params_;
   disk::VideoLayout layout_;
@@ -280,8 +293,9 @@ class VodSimulator : public sched::SchedulerContext {
   Seconds scheduled_wakeup_;
   bool wakeup_pending_ = false;
 
-  /// Allocator Preview() is O(n); the scheduling lookahead asks for it once
-  /// per sequence member, so cache it per (clock, state epoch).
+  /// One decision asks for the allocator's Preview() several times (Facts,
+  /// NewcomerReserve, the BubbleUp scan's per-request reads), so cache it
+  /// per (clock, state epoch).
   core::AllocationDecision CachedPreview() const;
   mutable core::AllocationDecision preview_cache_;
   mutable Seconds preview_cache_time_ = Seconds(-1);
@@ -289,8 +303,8 @@ class VodSimulator : public sched::SchedulerContext {
   std::uint64_t state_version_ = 0;
 
   /// core::WorstDiskLatency is a pure function of (profile, method, n) and
-  /// the scheduling loop asks for it per sequence member per round; memoize
-  /// by n (exact same double comes back — bit-identical results).
+  /// the scheduling loop asks for it at least once per decision; memoize by
+  /// n (exact same double comes back — bit-identical results).
   Seconds CachedWorstLatency(int n_or_g) const;
   mutable std::vector<Seconds> worst_latency_cache_;
 

@@ -1,8 +1,16 @@
 #include "core/allocator.h"
 
+#include <algorithm>
+#include <climits>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/units.h"
+#include "core/arrival_estimator.h"
+#include "core/buffer_size_table.h"
 #include "core/closed_form.h"
 #include "core/static_alloc.h"
 #include "disk/disk_profile.h"
@@ -214,6 +222,110 @@ TEST(DynamicAllocatorTest, PreviewMatchesAllocateAndIsPure) {
   auto d = (*a)->Allocate(1, Seconds(0.0));
   ASSERT_TRUE(d.ok());
   EXPECT_DOUBLE_EQ(ToBits(d->buffer_size), ToBits(preview1->buffer_size));
+}
+
+/// The inertia minima by brute force over the live ids' snapshots:
+/// {min k_i, min (n_i + k_i)} over the allocated ones, INT_MAX when none.
+std::pair<int, int> BruteForceMinima(const DynamicBufferAllocator& a,
+                                     const std::vector<RequestId>& live) {
+  int min_k = INT_MAX;
+  int min_nk = INT_MAX;
+  for (RequestId id : live) {
+    auto s = a.snapshot(id);
+    EXPECT_TRUE(s.ok()) << id;
+    if (!s.ok() || !s->allocated) continue;
+    min_k = std::min(min_k, s->k);
+    min_nk = std::min(min_nk, s->n + s->k);
+  }
+  return {min_k, min_nk};
+}
+
+TEST(DynamicAllocatorTest, MinimaTrackAdmitAllocateDrainRemove) {
+  // A seeded random mix of every operation that changes a snapshot. After
+  // each step, Preview's k and Admit's verdict must follow the minima of a
+  // brute-force scan. Arrival bursts grow over the run, so k_log keeps
+  // rising past older snapshots' k_i and min k_i is what bounds k_c.
+  const AllocParams p = SmallParams();
+  const Seconds t_log = Minutes(40);
+  auto created = DynamicBufferAllocator::Create(p, t_log);
+  ASSERT_TRUE(created.ok());
+  DynamicBufferAllocator& a = **created;
+  auto table = BufferSizeTable::Build(p);
+  ASSERT_TRUE(table.ok());
+  ArrivalEstimator shadow(t_log);  // Fed the same arrivals as `a`.
+  Seconds last_usage_period = table->GetUnchecked(1, p.alpha) / p.cr;
+
+  std::mt19937 rng(20011);
+  std::vector<RequestId> live;
+  RequestId next_id = 1;
+  int deferred = 0;
+  int admitted = 0;
+  int min_ki_bound = 0;
+  Seconds now;
+  for (int step = 0; step < 600; ++step) {
+    now += Seconds(0.25);
+    const int min_nk = BruteForceMinima(a, live).second;
+    const auto pick = [&] { return rng() % live.size(); };
+    switch (rng() % 6) {
+      case 0: {
+        const int burst = 1 + step / 60;
+        for (int i = 0; i < burst; ++i) {
+          a.NoteArrival(now);
+          shadow.RecordArrival(now);
+        }
+        break;
+      }
+      case 1:
+      case 2: {
+        const int n = static_cast<int>(live.size());
+        const Status st = a.Admit(next_id, now);
+        if (n >= p.n_max) {
+          EXPECT_EQ(st.code(), StatusCode::kCapacityExceeded) << step;
+        } else if (n + 1 > min_nk) {
+          EXPECT_EQ(st.code(), StatusCode::kDeferred) << step;
+          ++deferred;
+        } else {
+          EXPECT_TRUE(st.ok()) << step << ": " << st.ToString();
+          ++admitted;
+        }
+        if (st.ok()) live.push_back(next_id);
+        ++next_id;
+        break;
+      }
+      case 3: {
+        if (live.empty()) break;
+        auto d = a.Allocate(live[pick()], now);
+        ASSERT_TRUE(d.ok());
+        last_usage_period = d->usage_period;
+        break;
+      }
+      case 4:
+        if (!live.empty()) a.MarkDrained(live[pick()]);
+        break;
+      case 5: {
+        if (live.empty()) break;
+        const std::size_t i = pick();
+        a.Remove(live[i]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      }
+    }
+    const int min_k = BruteForceMinima(a, live).first;
+    const int k_log_term = shadow.KLog(now, last_usage_period) + p.alpha;
+    int expected_k = k_log_term;
+    if (min_k != INT_MAX && min_k + p.alpha < k_log_term) {
+      expected_k = min_k + p.alpha;
+      ++min_ki_bound;
+    }
+    expected_k = std::max(expected_k, 0);
+    auto preview = a.Preview(now);
+    ASSERT_TRUE(preview.ok());
+    ASSERT_EQ(preview->k, expected_k) << "step " << step;
+  }
+  // The run exercised both admission verdicts and a binding min k_i.
+  EXPECT_GT(deferred, 0);
+  EXPECT_GT(admitted, 0);
+  EXPECT_GT(min_ki_bound, 0);
 }
 
 TEST(DynamicAllocatorTest, AllocateUnknownRequestFails) {

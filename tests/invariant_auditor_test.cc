@@ -361,6 +361,45 @@ TEST(InvariantAuditorTest, FlagsDecisionOutsideSequence) {
   EXPECT_TRUE(rec.Fired("bubbleup-ordering"));
 }
 
+// --- Batched scheduler facts ---
+
+/// A context whose batched Facts misreports the second entry's deadline
+/// while its per-request reads stay correct.
+class MisreportingContext : public FakeContext {
+ public:
+  void Facts(const std::vector<RequestId>& seq,
+             std::vector<sched::RequestFacts>* out) const override {
+    FakeContext::Facts(seq, out);
+    if (out->size() > 1) (*out)[1].deadline += Seconds(0.5);
+  }
+};
+
+TEST(InvariantAuditorTest, InheritedSchedulerFactsAuditClean) {
+  Recorder rec;
+  InvariantAuditor auditor(rec.handler());
+  FakeContext ctx;
+  ctx.Set(1).deadline = Seconds(4.0);
+  ctx.Set(2).fresh = true;  // +inf deadline: equal to itself, no violation.
+  ctx.Set(3).deadline = Seconds(9.0);
+  ctx.Set(3).service_time = Seconds(2.0);
+  auditor.CheckSchedulerFacts(ctx, {1, 2, 3}, Seconds(0.0));
+  EXPECT_TRUE(rec.violations().empty());
+  EXPECT_EQ(auditor.checks(), 1);
+}
+
+TEST(InvariantAuditorTest, FlagsMisreportedSchedulerFacts) {
+  Recorder rec;
+  InvariantAuditor auditor(rec.handler());
+  MisreportingContext ctx;
+  ctx.Set(1).deadline = Seconds(4.0);
+  ctx.Set(2).deadline = Seconds(6.0);
+  auditor.CheckSchedulerFacts(ctx, {1}, Seconds(0.0));
+  EXPECT_TRUE(rec.violations().empty());  // Entry 0 is reported correctly.
+  auditor.CheckSchedulerFacts(ctx, {1, 2}, Seconds(0.0));
+  ASSERT_EQ(rec.violations().size(), 1u);
+  EXPECT_EQ(rec.violations()[0].invariant, "scheduler-facts");
+}
+
 #if VODB_AUDIT_ENABLED
 
 // --- End-to-end: the simulator's compiled-in hooks ---

@@ -54,16 +54,24 @@ class FakeContext : public SchedulerContext {
 
 // --- LatestSafeStart ---
 
+/// LatestSafeStart over the facts `ctx` reports for `seq`.
+Seconds LatestSafeStartOf(const SchedulerContext& ctx,
+                          const std::vector<RequestId>& seq) {
+  std::vector<RequestFacts> facts;
+  ctx.Facts(seq, &facts);
+  return LatestSafeStart(facts);
+}
+
 TEST(LatestSafeStartTest, EmptySequenceIsUnconstrained) {
   FakeContext ctx;
-  EXPECT_EQ(LatestSafeStart(ctx, {}), kInf);
+  EXPECT_EQ(LatestSafeStartOf(ctx, {}), kInf);
 }
 
 TEST(LatestSafeStartTest, SingleRequest) {
   FakeContext ctx;
   ctx.Set(1).deadline = Seconds(10.0);
   ctx.Set(1).service_time = Seconds(2.0);
-  EXPECT_DOUBLE_EQ(ToSeconds(LatestSafeStart(ctx, {1})), 8.0);
+  EXPECT_DOUBLE_EQ(ToSeconds(LatestSafeStartOf(ctx, {1})), 8.0);
 }
 
 TEST(LatestSafeStartTest, PrefixSumsBindTightestMember) {
@@ -72,7 +80,7 @@ TEST(LatestSafeStartTest, PrefixSumsBindTightestMember) {
   ctx.Set(1).service_time = Seconds(2.0);
   ctx.Set(2).deadline = Seconds(11.0);  // Needs start by 11 − (2+3) = 6: binding.
   ctx.Set(2).service_time = Seconds(3.0);
-  EXPECT_DOUBLE_EQ(ToSeconds(LatestSafeStart(ctx, {1, 2})), 6.0);
+  EXPECT_DOUBLE_EQ(ToSeconds(LatestSafeStartOf(ctx, {1, 2})), 6.0);
 }
 
 // --- RoundRobinScheduler ---
@@ -351,6 +359,44 @@ TEST(GssTest, SkipsDutyFreeGroups) {
   auto seq = gss.ServiceSequence(ctx, Seconds(0.0));
   ASSERT_EQ(seq.size(), 1u);
   EXPECT_EQ(seq[0], 2u);
+}
+
+TEST(GssTest, OutOfTurnServiceResortsItsGroup) {
+  GssScheduler gss(2);
+  FakeContext ctx;
+  for (RequestId id : {1, 2, 3, 4}) {
+    ctx.Set(id).cylinder = id * 10.0;
+    gss.Add(id, Seconds(0.0));
+  }
+  // Group {1,2} in service; upcoming group {3,4} sorted for the lookahead.
+  ASSERT_EQ(gss.ServiceSequence(ctx, Seconds(0.0)),
+            (std::vector<RequestId>{1, 2, 3, 4}));
+  // The no-displacement rule services 3 out of turn; its fill moves its
+  // read position past 4's.
+  ctx.Set(3).cylinder = 50;
+  gss.OnServiceComplete(3, Seconds(0.5));
+  EXPECT_EQ(gss.ServiceSequence(ctx, Seconds(0.5)),
+            (std::vector<RequestId>{1, 2, 4, 3}));
+}
+
+TEST(GssTest, FinishedGroupResortsAfterRotation) {
+  GssScheduler gss(2);
+  FakeContext ctx;
+  for (RequestId id : {1, 2, 3, 4}) {
+    ctx.Set(id).cylinder = id * 10.0;
+    gss.Add(id, Seconds(0.0));
+  }
+  ASSERT_EQ(gss.ServiceSequence(ctx, Seconds(0.0)),
+            (std::vector<RequestId>{1, 2, 3, 4}));
+  // Group {1,2}'s turn leaves their cylinders reversed.
+  ctx.Set(1).cylinder = 200;
+  gss.OnServiceComplete(1, Seconds(0.5));
+  ctx.Set(2).cylinder = 100;
+  gss.OnServiceComplete(2, Seconds(1.0));
+  // Group {3,4} is in service; the rotated group is looked ahead in its
+  // new sweep order.
+  EXPECT_EQ(gss.ServiceSequence(ctx, Seconds(1.0)),
+            (std::vector<RequestId>{3, 4, 2, 1}));
 }
 
 TEST(GssTest, AdmitsMidPeriod) {
