@@ -3,8 +3,9 @@
 // Theorem-1 closed form, and the O(N²) table's lookup and build — the
 // Sec. 3.3 ablation), BubbleUp insertion, the lazy scheduling decision,
 // memory-broker admit/release, the seek-model γ(x) curve, event-queue
-// churn, the cost of one profiling scope, and end-to-end RunDay
-// throughput for one static and one dynamic grid point.
+// churn, the cost of one profiling scope, one fork-join dispatch on the
+// thread pool, and end-to-end RunDay throughput for one static and one
+// dynamic grid point.
 //
 // Emits the BENCH_<host>.json artifact scripts/bench_compare.py diffs
 // against bench/baselines/BENCH_baseline.json (the committed perf
@@ -15,9 +16,11 @@
 // the clock injection the harness tests need are all part of this repo's
 // contract.
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -245,6 +248,21 @@ void BM_ProfScope(bk::State& state) {
   }
 }
 
+// --- parallel_for_dispatch: one ParallelFor(100) with a trivial body on a
+// 4-worker pool — the fixed fork-join cost (publish, wake, claim, join)
+// that every epoch of a 100-disk sharded day pays on top of its disks'
+// work. ---
+void BM_ParallelForDispatch(bk::State& state) {
+  exp::ThreadPool pool(4);
+  const std::function<void(std::size_t)> body = [](std::size_t i) {
+    bk::DoNotOptimize(i);
+  };
+  for (auto _ : state) {
+    static_cast<void>(_);
+    pool.ParallelFor(100, body);
+  }
+}
+
 // --- run_day_static / run_day_dynamic: end-to-end sims/sec for one small
 // grid point (3 h day, 150 arrivals — big enough to exercise admission,
 // scheduling, and departure churn; small enough for tight repetitions).
@@ -322,6 +340,7 @@ void RegisterAll(bk::Harness* harness) {
   harness->Register("broker_admit_release", BM_BrokerAdmitRelease);
   harness->Register("event_queue_churn", BM_EventQueueChurn);
   harness->Register("prof_scope", BM_ProfScope);
+  harness->Register("parallel_for_dispatch", BM_ParallelForDispatch);
 
   // End-to-end points: one iteration is one whole simulated day, so pin
   // one iteration per repetition and let repetitions supply the sample.

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # ThreadSanitizer verification pass: configures build-tsan/ with
-# VODB_TSAN=ON, builds everything, and runs the tier-1 ctest suite (which
-# includes thread_pool_stress_test and the 8-thread exp_runner_test runs —
-# the submit/steal/drain traffic TSan needs to detect races).
+# VODB_TSAN=ON, builds everything, and runs the tier-1 ctest suite. The
+# concurrent traffic TSan needs comes from thread_pool_stress_test
+# (workers racing for ParallelFor's shared index, back-to-back rounds,
+# exceptions under contention), the 8-thread exp_runner_test sweeps and
+# sharded_sim_test's multi-worker epochs.
 # Usage: scripts/verify_tsan.sh [extra ctest args...]
 set -euo pipefail
 

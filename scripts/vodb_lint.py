@@ -32,7 +32,7 @@ Line-grep rules (backend-independent):
   raw-timing
       All host-clock access in src/ goes through src/obs/clock.h
       (obs::MonotonicNanos / obs::Stopwatch / obs::ProfTicks): one clock
-      source means traces, profiles, and pool stats are mutually
+      source means traces, profiles, and run wall times are mutually
       comparable, and keeps wall-clock reads out of code that must depend
       only on *simulated* time. Direct std::chrono / clock_gettime /
       gettimeofday use and cycle-counter reads (__rdtsc,
@@ -614,7 +614,7 @@ METHOD_DEF_RE = re.compile(r"\b([A-Za-z_]\w*)::([A-Za-z_~]\w*)\s*\(")
 
 def mutex_key(arg: str) -> str:
     """Normalize a lock argument to its last member component:
-    `queues_[idx]->mu` -> `mu`, `wake_mu_` -> `wake_mu_`."""
+    `shards_[idx]->mu` -> `mu`, `registry.mu_` -> `mu_`."""
     arg = arg.strip()
     arg = re.sub(r"^[*&]+", "", arg)
     part = re.split(r"\.|->", arg)[-1].strip()

@@ -47,48 +47,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  VOD_CHECK(hi > lo);
-  VOD_CHECK(buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  stats_.Add(x);
-  double idx = (x - lo_) / width_;
-  std::size_t bucket;
-  if (idx < 0.0) {
-    bucket = 0;
-  } else if (idx >= static_cast<double>(counts_.size())) {
-    bucket = counts_.size() - 1;
-  } else {
-    bucket = static_cast<std::size_t>(idx);
-  }
-  ++counts_[bucket];
-  ++total_;
-}
-
-double Histogram::Quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      // Interpolate within bucket i.
-      const double frac =
-          counts_[i] == 0
-              ? 0.0
-              : (target - cumulative) / static_cast<double>(counts_[i]);
-      return lo_ + (static_cast<double>(i) + frac) * width_;
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
 void StepTimeSeries::Record(double t, double value) {
   VOD_DCHECK(points_.empty() || t >= points_.back().first);
   if (points_.empty()) {

@@ -34,31 +34,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp into the
-/// first/last bucket. Supports quantile queries by linear interpolation
-/// within the bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-  std::size_t count() const { return total_; }
-  /// q in [0,1]; returns an interpolated quantile estimate. Returns 0 when
-  /// the histogram is empty.
-  double Quantile(double q) const;
-  double mean() const { return stats_.mean(); }
-  double max() const { return stats_.max(); }
-  const std::vector<std::size_t>& buckets() const { return counts_; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  RunningStats stats_;
-};
-
 /// Piecewise-constant time series sampler: records (time, value) points and
 /// answers max/mean-over-time queries. Used to track concurrency and memory
 /// usage over a simulated day.

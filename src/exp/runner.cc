@@ -1,5 +1,6 @@
 #include "exp/runner.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -10,7 +11,6 @@
 #include "common/check.h"
 #include "exp/thread_pool.h"
 #include "obs/clock.h"
-#include "obs/metrics_registry.h"
 #include "obs/progress.h"
 
 namespace vod::exp {
@@ -48,16 +48,10 @@ std::vector<RunResult> Runner::RunWithSpecs(const Grid& grid,
     if (progress != nullptr) progress->OnComplete();
   };
 
-  if (threads_ == 1 || specs.size() == 1) {
-    // Inline: no pool setup, exceptions propagate directly. Results are
-    // identical to the pooled path by construction (pure per-run seeding,
-    // index-ordered collection).
-    for (std::size_t i = 0; i < specs.size(); ++i) run_one(i);
-  } else {
-    ThreadPool pool(threads_);
-    pool.ParallelFor(specs.size(), run_one);
-    pool.PublishStats(obs::MetricsRegistry::Global());
-  }
+  // No more workers than grid points: a one-point grid starts one thread.
+  ThreadPool pool(static_cast<int>(
+      std::min(specs.size(), static_cast<std::size_t>(threads_))));
+  pool.ParallelFor(specs.size(), run_one);
   if (progress != nullptr) progress->Finish();
   return results;
 }

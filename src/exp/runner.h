@@ -16,7 +16,7 @@ namespace vod::exp {
 
 struct RunnerOptions {
   /// Worker threads; <= 0 selects ThreadPool::DefaultThreads()
-  /// (hardware_concurrency). 1 runs inline on the caller.
+  /// (hardware_concurrency).
   int threads = 0;
   /// Live stderr progress line (completed/total, runs/s, ETA) while the
   /// sweep executes. Purely cosmetic: results are identical either way.
@@ -32,7 +32,7 @@ struct RunResult {
   Seconds wall_seconds;  ///< Host wall time this run took.
 };
 
-/// Fans a grid's runs out across a work-stealing thread pool and returns the
+/// Fans a grid's runs out across a fork-join thread pool and returns the
 /// results ordered by RunSpec::index — i.e. in the grid's deterministic
 /// expansion order, regardless of which thread finished which run when.
 /// Combined with per-run seeding (a pure function of the grid point), the

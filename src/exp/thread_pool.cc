@@ -1,37 +1,32 @@
 #include "exp/thread_pool.h"
 
-#include <algorithm>
-#include <exception>
-#include <string>
 #include <utility>
 
 #include "common/check.h"
-#include "obs/clock.h"
-#include "obs/metrics_registry.h"
 
 namespace vod::exp {
 
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) threads = DefaultThreads();
-  queues_.reserve(static_cast<std::size_t>(threads));
-  counters_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<WorkQueue>());
-    counters_.push_back(std::make_unique<WorkerCounters>());
-  }
   workers_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back(
-        [this, i]() { WorkerLoop(static_cast<std::size_t>(i)); });
+  try {
+    for (int i = 0; i < threads; ++i) {
+      workers_.emplace_back([this]() { WorkerLoop(); });
+    }
+  } catch (...) {  // A thread failed to start: join the ones that did.
+    StopAndJoin();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { StopAndJoin(); }
+
+void ThreadPool::StopAndJoin() {
   {
-    MutexLock lock(wake_mu_);
+    MutexLock lock(mu_);
     stop_ = true;
   }
-  wake_cv_.NotifyAll();
+  work_cv_.NotifyAll();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -40,129 +35,51 @@ int ThreadPool::DefaultThreads() {
   return hc > 0 ? static_cast<int>(hc) : 1;
 }
 
-void ThreadPool::Enqueue(std::function<void()> task) {
-  const std::size_t idx =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  {
-    MutexLock lock(queues_[idx]->mu);
-    queues_[idx]->tasks.push_back(std::move(task));
-    queues_[idx]->max_depth =
-        std::max(queues_[idx]->max_depth, queues_[idx]->tasks.size());
-  }
-  {
-    MutexLock lock(wake_mu_);
-    ++unclaimed_;
-  }
-  wake_cv_.NotifyOne();
-}
-
-bool ThreadPool::PopOwn(std::size_t idx, std::function<void()>& task) {
-  WorkQueue& q = *queues_[idx];
-  MutexLock lock(q.mu);
-  if (q.tasks.empty()) return false;
-  task = std::move(q.tasks.back());  // LIFO on the owner: cache-warm.
-  q.tasks.pop_back();
-  return true;
-}
-
-bool ThreadPool::StealAny(std::size_t idx, std::function<void()>& task) {
-  const std::size_t n = queues_.size();
-  for (std::size_t off = 1; off <= n; ++off) {
-    WorkQueue& q = *queues_[(idx + off) % n];
-    MutexLock lock(q.mu);
-    if (q.tasks.empty()) continue;
-    task = std::move(q.tasks.front());  // FIFO on victims: oldest work first.
-    q.tasks.pop_front();
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(std::size_t idx) {
-  for (;;) {
-    {
-      MutexLock lock(wake_mu_);
-      while (!stop_ && unclaimed_ == 0) wake_cv_.Wait(wake_mu_);
-      if (unclaimed_ == 0) return;  // stop_ set and nothing left to drain.
-      --unclaimed_;
-    }
-    // A claim guarantees a task exists in some queue; hunt until found.
-    std::function<void()> task;
-    bool stolen = false;
-    for (;;) {
-      if (PopOwn(idx, task)) break;
-      if (StealAny(idx, task)) {
-        stolen = true;
-        break;
-      }
-      std::this_thread::yield();
-    }
-    WorkerCounters& wc = *counters_[idx];
-    if (stolen) wc.steals.fetch_add(1, std::memory_order_relaxed);
-    const std::int64_t t0 = obs::MonotonicNanos();
-    task();
-    wc.busy_nanos.fetch_add(obs::MonotonicNanos() - t0,
-                            std::memory_order_relaxed);
-    wc.tasks.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-ThreadPool::PoolStats ThreadPool::Stats() const {
-  PoolStats stats;
-  stats.workers.reserve(counters_.size());
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    WorkerStats w;
-    w.tasks = counters_[i]->tasks.load(std::memory_order_relaxed);
-    w.steals = counters_[i]->steals.load(std::memory_order_relaxed);
-    w.busy = Seconds(
-        static_cast<double>(
-            counters_[i]->busy_nanos.load(std::memory_order_relaxed)) *
-        1e-9);
-    {
-      MutexLock lock(queues_[i]->mu);
-      w.max_queue_depth = queues_[i]->max_depth;
-    }
-    stats.total_tasks += w.tasks;
-    stats.total_steals += w.steals;
-    stats.workers.push_back(w);
-  }
-  return stats;
-}
-
-void ThreadPool::PublishStats(obs::MetricsRegistry& registry,
-                              std::string_view prefix) const {
-  const PoolStats stats = Stats();
-  const std::string p = std::string(prefix) + ".";
-  registry.counter(p + "tasks").Increment(stats.total_tasks);
-  registry.counter(p + "steals").Increment(stats.total_steals);
-  registry.gauge(p + "threads")
-      .Set(static_cast<double>(stats.workers.size()));
-  obs::Histogram& busy =
-      registry.histogram(p + "worker_busy_s", {.lo = 1e-3});
-  std::size_t max_depth = 0;
-  for (const WorkerStats& w : stats.workers) {
-    busy.Add(ToSeconds(w.busy));
-    max_depth = std::max(max_depth, w.max_queue_depth);
-  }
-  registry.gauge(p + "max_queue_depth").Set(static_cast<double>(max_depth));
-}
-
 void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(Submit([&fn, i]() { fn(i); }));
-  }
-  std::exception_ptr first;
-  for (std::future<void>& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
+  if (n == 0) return;
+  const std::size_t workers = workers_.size();  // Fixed since construction.
+  MutexLock lock(mu_);
+  VOD_CHECK(fn_ == nullptr);  // Nested in a task, or from a second thread.
+  fn_ = &fn;
+  n_ = n;
+  next_.store(0, std::memory_order_relaxed);
+  running_ = workers;
+  ++round_;
+  work_cv_.NotifyAll();
+  while (running_ > 0) done_cv_.Wait(mu_);
+  fn_ = nullptr;
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+}
+
+void ThreadPool::WorkerLoop() {
+  std::size_t seen = 0;
+  for (;;) {
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::size_t n = 0;
+    {
+      MutexLock lock(mu_);
+      while (!stop_ && round_ == seen) work_cv_.Wait(mu_);
+      if (stop_) return;
+      seen = round_;
+      fn = fn_;
+      n = n_;
     }
+    for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next_.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        (*fn)(i);
+      } catch (...) {
+        MutexLock lock(mu_);
+        if (!error_ || i < error_index_) {
+          error_ = std::current_exception();
+          error_index_ = i;
+        }
+      }
+    }
+    MutexLock lock(mu_);
+    if (--running_ == 0) done_cv_.NotifyOne();
   }
-  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace vod::exp

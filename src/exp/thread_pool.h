@@ -3,40 +3,25 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
-#include <string_view>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "common/units.h"
-
-namespace vod::obs {
-class MetricsRegistry;
-}  // namespace vod::obs
 
 namespace vod::exp {
 
-/// Work-stealing thread pool for fanning independent simulation runs across
-/// cores. Each worker owns a deque: it pops its own work LIFO (cache-warm)
-/// and steals FIFO from the other workers when its deque drains, so a few
-/// long runs (e.g. `--full` 24 h days) cannot strand idle cores behind a
-/// round-robin assignment.
-///
-/// Tasks may throw; the exception is captured in the task's future and
-/// rethrown from `get()` (or from ParallelFor), never on the worker thread.
+/// Fork-join pool for sweeps and sharded epochs: ParallelFor publishes a body
+/// and an index count, and the workers claim indices from one shared counter,
+/// so a few long ones (a Zipf-hot disk, a `--full` day) idle no worker.
 class ThreadPool {
  public:
   /// `threads` <= 0 selects DefaultThreads().
   explicit ThreadPool(int threads = 0);
 
-  /// Drains already-submitted work, then joins the workers.
+  /// Joins the workers; no ParallelFor may be in flight.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -47,88 +32,32 @@ class ThreadPool {
   /// hardware_concurrency(), or 1 when the runtime cannot report it.
   static int DefaultThreads();
 
-  /// Enqueues `fn` for execution and returns its future. An exception
-  /// escaping `fn` surfaces from future::get().
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    Enqueue([task]() { (*task)(); });
-    return fut;
-  }
-
-  /// Runs fn(i) for every i in [0, n), blocking until all complete. If any
-  /// invocation throws, the lowest-index exception is rethrown here after
-  /// every task has finished (no task is abandoned mid-run).
+  /// Runs fn(i) for every i in [0, n) on the workers and returns when all
+  /// have run; if any threw, the lowest index's exception is rethrown then.
+  /// One call at a time per pool: a call from inside `fn`, or from a second
+  /// thread while another is in flight, fails a VOD_CHECK, not a deadlock.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Per-worker execution statistics (observability). `busy` is host wall
-  /// time spent inside tasks; `steals` counts tasks this worker took from
-  /// another worker's deque; `max_queue_depth` is the deepest this worker's
-  /// own deque ever grew.
-  struct WorkerStats {
-    std::int64_t tasks = 0;
-    std::int64_t steals = 0;
-    Seconds busy;
-    std::size_t max_queue_depth = 0;
-  };
-
-  struct PoolStats {
-    std::vector<WorkerStats> workers;
-    std::int64_t total_tasks = 0;
-    std::int64_t total_steals = 0;
-  };
-
-  /// Snapshot of the counters so far. Safe to call while tasks run (relaxed
-  /// reads; per-worker values may be mid-update but never torn).
-  PoolStats Stats() const;
-
-  /// Publishes the snapshot into `registry` under `<prefix>.`: counters
-  /// `tasks` and `steals`, a gauge `threads` and `max_queue_depth`, and a
-  /// per-worker histogram `worker_busy_s` (one sample per worker, so the
-  /// spread exposes load imbalance).
-  void PublishStats(obs::MetricsRegistry& registry,
-                    std::string_view prefix = "exp.pool") const;
-
  private:
-  /// Lock-order policy: a WorkQueue::mu and wake_mu_ are never held
-  /// together — Enqueue and WorkerLoop take them strictly one after the
-  /// other (scripts/vodb_lint.py rule `lock-order` keeps it that way).
-  struct WorkQueue {
-    Mutex mu;
-    std::deque<std::function<void()>> tasks VODB_GUARDED_BY(mu);
-    std::size_t max_depth VODB_GUARDED_BY(mu) = 0;
-  };
+  /// Waits for each round, claims and runs its indices until none are left.
+  void WorkerLoop();
+  void StopAndJoin();
 
-  /// Cache-line padded so workers bumping their own counters do not false-
-  /// share; relaxed atomics because Stats() only needs eventually-consistent
-  /// totals, never ordering.
-  struct alignas(64) WorkerCounters {
-    std::atomic<std::int64_t> tasks{0};
-    std::atomic<std::int64_t> steals{0};
-    std::atomic<std::int64_t> busy_nanos{0};
-  };
+  Mutex mu_;
+  CondVar work_cv_;  ///< Workers wait here for a new round or stop_.
+  CondVar done_cv_;  ///< The caller waits here for `running_` to reach 0.
+  /// The round's body; non-null exactly while a ParallelFor is in flight.
+  const std::function<void(std::size_t)>* fn_ VODB_GUARDED_BY(mu_) = nullptr;
+  std::size_t n_ VODB_GUARDED_BY(mu_) = 0;
+  std::size_t round_ VODB_GUARDED_BY(mu_) = 0;
+  std::size_t running_ VODB_GUARDED_BY(mu_) = 0;  ///< Workers still in it.
+  bool stop_ VODB_GUARDED_BY(mu_) = false;
+  std::exception_ptr error_ VODB_GUARDED_BY(mu_);
+  std::size_t error_index_ VODB_GUARDED_BY(mu_) = 0;
 
-  void Enqueue(std::function<void()> task);
-  bool PopOwn(std::size_t idx, std::function<void()>& task);
-  bool StealAny(std::size_t idx, std::function<void()>& task);
-  void WorkerLoop(std::size_t idx);
-
-  std::vector<std::unique_ptr<WorkQueue>> queues_;
-  std::vector<std::unique_ptr<WorkerCounters>> counters_;
-  std::vector<std::thread> workers_;
-
-  // Every enqueued task bumps unclaimed_; every consumer claims exactly one
-  // under wake_mu_ before hunting the queues, so wakeups cannot be lost and
-  // a claimed task is guaranteed to exist somewhere.
-  Mutex wake_mu_;
-  CondVar wake_cv_;
-  std::size_t unclaimed_ VODB_GUARDED_BY(wake_mu_) = 0;
-  bool stop_ VODB_GUARDED_BY(wake_mu_) = false;
-
-  std::atomic<std::size_t> next_queue_{0};
+  /// Next unclaimed index of the round; reset under mu_ before it starts.
+  std::atomic<std::size_t> next_{0};
+  std::vector<std::thread> workers_;  // Last: the workers use every field.
 };
 
 }  // namespace vod::exp

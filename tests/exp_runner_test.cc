@@ -1,4 +1,4 @@
-// Tests for the parallel experiment runner (src/exp): thread-pool
+// Tests for the parallel experiment runner (src/exp): ParallelFor
 // mechanics, grid expansion/seeding, determinism of fan-out results across
 // thread counts, exception propagation out of worker tasks, and the
 // empty/single-point edge cases.
@@ -22,19 +22,11 @@
 namespace vod::exp {
 namespace {
 
-// --- ThreadPool ---
-
-TEST(ThreadPoolTest, SubmitReturnsValues) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4);
-  auto f1 = pool.Submit([]() { return 41 + 1; });
-  auto f2 = pool.Submit([]() { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
+// --- ThreadPool::ParallelFor ---
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(8);
+  EXPECT_EQ(pool.thread_count(), 8);
   constexpr std::size_t kN = 500;
   std::vector<std::atomic<int>> hits(kN);
   pool.ParallelFor(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
@@ -55,21 +47,6 @@ TEST(ThreadPoolTest, ParallelForRethrowsWorkerException) {
   }
   // Every non-throwing task still ran (no abandoned work).
   EXPECT_EQ(completed.load(), 63);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingWork) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      // The futures are discarded on purpose: this test proves the
-      // destructor itself drains pending work without anyone waiting.
-      // (ThreadPool::Submit returns std::future, not Status; the lint
-      // rule matches VodServer::Submit by name.)
-      pool.Submit([&ran]() { ran.fetch_add(1); });  // vodb-lint: allow(unconsumed-status)
-    }
-  }  // Destructor joins after draining.
-  EXPECT_EQ(ran.load(), 100);
 }
 
 // --- Grid ---
@@ -188,19 +165,26 @@ TEST(RunnerTest, SinglePointMatchesDirectCall) {
 }
 
 TEST(RunnerTest, ExceptionInRunFnPropagates) {
+  // The contract holds at every thread count: every run finishes, and the
+  // exception from the lowest grid index wins.
   Grid grid;
   grid.WithReplications(8);
   for (int threads : {1, 4}) {
     Runner runner({.threads = threads});
-    EXPECT_THROW(runner.Run(grid,
-                            [](const DayRunConfig& cfg) -> sim::SimMetrics {
-                              if (cfg.seed % 2 == 0) {
-                                throw std::runtime_error("worker boom");
-                              }
-                              return FakeDay(cfg);
-                            }),
-                 std::runtime_error)
-        << "threads=" << threads;
+    std::atomic<int> calls{0};
+    try {
+      runner.RunWithSpecs(grid, [&calls](const RunSpec& spec) {
+        calls.fetch_add(1);
+        if (spec.index == 2 || spec.index == 5) {
+          throw std::runtime_error(std::to_string(spec.index));
+        }
+        return FakeDay(spec.config);
+      });
+      ADD_FAILURE() << "expected an exception, threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "2") << "threads=" << threads;
+    }
+    EXPECT_EQ(calls.load(), 8) << "threads=" << threads;
   }
 }
 

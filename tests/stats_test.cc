@@ -73,37 +73,6 @@ TEST(RunningStatsTest, ResetClears) {
   EXPECT_EQ(s.count(), 0u);
 }
 
-TEST(HistogramTest, CountsAndMean) {
-  Histogram h(0.0, 10.0, 10);
-  for (double x : {0.5, 1.5, 1.6, 9.5}) h.Add(x);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.mean(), (0.5 + 1.5 + 1.6 + 9.5) / 4);
-  EXPECT_EQ(h.buckets()[0], 1u);
-  EXPECT_EQ(h.buckets()[1], 2u);
-  EXPECT_EQ(h.buckets()[9], 1u);
-}
-
-TEST(HistogramTest, OutOfRangeClampsToEdgeBuckets) {
-  Histogram h(0.0, 1.0, 4);
-  h.Add(-5.0);
-  h.Add(99.0);
-  EXPECT_EQ(h.buckets()[0], 1u);
-  EXPECT_EQ(h.buckets()[3], 1u);
-}
-
-TEST(HistogramTest, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.Add(i + 0.5);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 1.5);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 0.0);
-}
-
-TEST(HistogramTest, EmptyQuantileIsZero) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.0);
-}
-
 TEST(StepTimeSeriesTest, MaxAndValueAt) {
   StepTimeSeries ts;
   ts.Record(0.0, 1.0);

@@ -1,16 +1,15 @@
-// Stress tests for exp::ThreadPool aimed at the submit/steal/drain paths.
-// Their job is to give ThreadSanitizer (cmake -DVODB_TSAN=ON, or
-// scripts/verify_tsan.sh) enough concurrent traffic to bite on: external
-// producers racing the workers, tasks spawning tasks (cross-queue steals),
-// destructor-time drains, and exceptions under contention. The functional
-// assertions (exact task counts) double as lost-wakeup detectors.
+// Stress tests for exp::ThreadPool's fork-join ParallelFor. Their job is
+// to give ThreadSanitizer (cmake -DVODB_TSAN=ON, or scripts/verify_tsan.sh)
+// enough concurrent traffic to bite on: workers racing for the shared index,
+// back-to-back rounds that reuse the same workers (the sharded epoch
+// pattern), exceptions under contention, and pool lifetimes churning. The
+// functional assertions (exact per-index counts) double as lost-wakeup
+// detectors: a missed wakeup hangs a round or miscounts it.
 
 #include <atomic>
 #include <cstddef>
-#include <future>
-#include <memory>
 #include <stdexcept>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,121 +21,64 @@ namespace {
 
 constexpr int kThreads = 8;
 
-TEST(ThreadPoolStressTest, ConcurrentExternalProducers) {
-  // Several external threads hammer Submit() at once: exercises the
-  // round-robin queue assignment, the per-queue mutexes, and the
-  // wake/claim protocol from outside the pool.
+TEST(ThreadPoolStressTest, TinyIndicesContendForTheCounter) {
+  // Indices far cheaper than a claim: every worker hammers the shared
+  // counter at once, and the last one out must still wake the caller.
   ThreadPool pool(kThreads);
-  constexpr int kProducers = 8;
-  constexpr int kTasksPerProducer = 500;
-  std::atomic<int> executed{0};
-
-  std::vector<std::thread> producers;
-  std::vector<std::vector<std::future<void>>> futures(kProducers);
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&pool, &executed, &futures, p]() {
-      futures[static_cast<std::size_t>(p)].reserve(kTasksPerProducer);
-      for (int i = 0; i < kTasksPerProducer; ++i) {
-        futures[static_cast<std::size_t>(p)].push_back(pool.Submit(
-            [&executed]() { executed.fetch_add(1, std::memory_order_relaxed); }));
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  for (auto& fs : futures) {
-    for (std::future<void>& f : fs) f.get();
-  }
-  EXPECT_EQ(executed.load(), kProducers * kTasksPerProducer);
-}
-
-TEST(ThreadPoolStressTest, TinyTasksForceStealing) {
-  // Tasks far cheaper than a steal round-trip: workers spend most of their
-  // time raiding each other's deques, hitting PopOwn/StealAny constantly.
-  ThreadPool pool(kThreads);
-  constexpr std::size_t kTasks = 20000;
+  constexpr std::size_t kIndices = 20000;
   std::atomic<std::size_t> executed{0};
-  pool.ParallelFor(kTasks, [&executed](std::size_t) {
+  pool.ParallelFor(kIndices, [&executed](std::size_t) {
     executed.fetch_add(1, std::memory_order_relaxed);
   });
-  EXPECT_EQ(executed.load(), kTasks);
+  EXPECT_EQ(executed.load(), kIndices);
 }
 
-TEST(ThreadPoolStressTest, TasksSpawningTasks) {
-  // Every task fans out children from a worker thread, so Submit() races
-  // with the workers' own pop/steal cycle on the same queues.
-  ThreadPool pool(kThreads);
-  constexpr int kRoots = 64;
-  constexpr int kChildren = 32;
-  std::atomic<int> executed{0};
-
-  std::vector<std::future<std::vector<std::future<void>>>> roots;
-  roots.reserve(kRoots);
-  for (int r = 0; r < kRoots; ++r) {
-    roots.push_back(pool.Submit([&pool, &executed]() {
-      std::vector<std::future<void>> children;
-      children.reserve(kChildren);
-      for (int c = 0; c < kChildren; ++c) {
-        children.push_back(pool.Submit([&executed]() {
-          executed.fetch_add(1, std::memory_order_relaxed);
-        }));
-      }
-      return children;
-    }));
-  }
-  for (auto& root : roots) {
-    for (std::future<void>& child : root.get()) child.get();
-  }
-  EXPECT_EQ(executed.load(), kRoots * kChildren);
-}
-
-TEST(ThreadPoolStressTest, DestructorDrainsSubmittedWork) {
-  // The destructor promises to drain already-submitted work. Submitting a
-  // burst and destroying the pool immediately races stop_ against the
-  // workers' claim loop; a lost task would deadlock a future below.
-  for (int round = 0; round < 20; ++round) {
-    constexpr int kTasks = 200;
-    auto executed = std::make_shared<std::atomic<int>>(0);
-    std::vector<std::future<void>> futures;
-    futures.reserve(kTasks);
-    {
-      ThreadPool pool(kThreads);
-      for (int i = 0; i < kTasks; ++i) {
-        futures.push_back(pool.Submit(
-            [executed]() { executed->fetch_add(1, std::memory_order_relaxed); }));
-      }
-      // Pool destroyed here with most tasks still queued.
+TEST(ThreadPoolStressTest, BackToBackRoundsReuseWorkers) {
+  // The sharded epoch pattern: one pool, one short round after another.
+  // Each round must hit every index exactly once, and a worker still
+  // leaving round r must not be mistaken for one in round r + 1.
+  ThreadPool pool(4);
+  constexpr int kRounds = 10000;
+  constexpr std::size_t kIndices = 100;
+  std::vector<std::atomic<int>> hits(kIndices);
+  for (int round = 1; round <= kRounds; ++round) {
+    pool.ParallelFor(kIndices, [&hits](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kIndices; ++i) {
+      ASSERT_EQ(hits[i].load(), round) << "index " << i;
     }
-    for (std::future<void>& f : futures) f.get();
-    EXPECT_EQ(executed->load(), kTasks) << "round " << round;
+  }
+}
+
+TEST(ThreadPoolStressTest, FewerIndicesThanWorkers) {
+  // Most workers find nothing to claim; the round still has to close.
+  ThreadPool pool(kThreads);
+  for (std::size_t n : {0u, 1u, 3u}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.ParallelFor(n, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " index " << i;
+    }
   }
 }
 
 TEST(ThreadPoolStressTest, ExceptionsUnderContention) {
-  // Exceptions must travel through the futures without disturbing the
-  // other in-flight tasks, even when many throw at once.
+  // Many indices throw at once: the others still run, and the lowest
+  // index's exception is the one rethrown.
   ThreadPool pool(kThreads);
-  constexpr std::size_t kTasks = 2000;
+  constexpr std::size_t kIndices = 2000;
   std::atomic<std::size_t> completed{0};
-  std::size_t thrown = 0;
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.Submit([&completed, i]() {
-      if (i % 7 == 0) throw std::runtime_error("injected");
+  try {
+    pool.ParallelFor(kIndices, [&completed](std::size_t i) {
+      if (i % 7 == 0) throw std::runtime_error(std::to_string(i));
       completed.fetch_add(1, std::memory_order_relaxed);
-    }));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "0");
   }
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    try {
-      futures[i].get();
-    } catch (const std::runtime_error&) {
-      ++thrown;
-    }
-  }
-  EXPECT_EQ(thrown, (kTasks + 6) / 7);
-  EXPECT_EQ(completed.load(), kTasks - thrown);
+  EXPECT_EQ(completed.load(), 1714u);  // 2000 minus the 286 multiples of 7.
 }
 
 TEST(ThreadPoolStressTest, ParallelForExceptionPropagatesLowestIndex) {
@@ -165,6 +107,20 @@ TEST(ThreadPoolStressTest, RapidConstructDestroyCycles) {
     });
     EXPECT_EQ(executed.load(), 16);
   }
+}
+
+TEST(ThreadPoolStressDeathTest, NestedParallelForFailsCheck) {
+  // A task that calls back into its own pool would wait for a round that
+  // cannot close; the pool aborts instead of deadlocking.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.ParallelFor(1, [&pool](std::size_t) {
+          pool.ParallelFor(1, [](std::size_t) {});
+        });
+      },
+      "VOD_CHECK failed");
 }
 
 }  // namespace
