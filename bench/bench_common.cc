@@ -206,12 +206,6 @@ ObsSession::ObsSession(const BenchOptions& opt, std::size_t total_runs)
   // ring tail — any of the three wants per-run rings.
   const bool want_tracers = !trace_path_.empty() || !opt.postmortem_dir.empty();
   if (want_tracers) {
-    if (!obs::kTraceHooksCompiledIn) {
-      std::fprintf(stderr,
-                   "warning: --trace/--postmortem-dir set but this build has "
-                   "no trace hooks; reconfigure with -DVODB_TRACE=ON for "
-                   "events\n");
-    }
     tracers_.reserve(total_runs);
     for (std::size_t i = 0; i < total_runs; ++i) {
       tracers_.push_back(std::make_unique<obs::EventTracer>());

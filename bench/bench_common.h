@@ -24,12 +24,12 @@ namespace vod::bench {
 ///   --full          paper-scale sweep (24 h days, 5 seeds, full grids)
 ///   --seeds=K       override the seed count
 ///   --threads=N     worker threads for the experiment runner
-///                   (default hardware_concurrency; 1 = serial legacy path)
+///                   (default hardware_concurrency; output is byte-identical
+///                   at any N)
 ///   --json          emit JSON instead of CSV (runner-based harnesses)
 ///   --trace=FILE    write a structured event trace of every run (.jsonl =
 ///                   line-delimited records; anything else = Chrome
-///                   trace-event JSON loadable in Perfetto). Needs a tree
-///                   built with -DVODB_TRACE=ON to carry events.
+///                   trace-event JSON loadable in Perfetto)
 ///   --metrics=FILE  write a JSON metrics dump: per-run log (seed + grid
 ///                   coordinates + headline metrics), the accumulated
 ///                   counter/histogram registry, and the profiling table

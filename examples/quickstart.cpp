@@ -36,13 +36,14 @@ int main() {
       return 1;
     }
     std::printf("t=%6.1fs  submitted viewer %d (video %d), %d active\n",
-                *t, i, i % 6, (*server)->active_requests());
+                ToSeconds(*t), i, i % 6, (*server)->active_requests());
   }
 
   (*server)->RunToCompletion();
   (*server)->Finish();
 
-  std::printf("\nAll viewers done at t=%.0fs\n", (*server)->now());
+  std::printf("\nAll viewers done at t=%.0fs\n",
+              ToSeconds((*server)->now()));
   std::printf("%s\n", (*server)->SummaryLine().c_str());
   std::printf("N (max concurrent streams this disk supports): %d\n",
               (*server)->alloc_params().n_max);

@@ -389,8 +389,7 @@ def validate_one(path: str, findings: Findings) -> None:
         events = validate_chrome(path, findings)
         label = "events"
     if events == 0 and not findings.count:
-        print(f"validate_trace: {path} contains no events (was the binary "
-              "built with -DVODB_TRACE=ON?)", file=sys.stderr)
+        print(f"validate_trace: {path} contains no events", file=sys.stderr)
         findings.count += 1
         return
     if not findings.count:

@@ -57,40 +57,4 @@ void StepTimeSeries::Record(double t, double value) {
   points_.emplace_back(t, value);
 }
 
-double StepTimeSeries::TimeWeightedMean(double end) const {
-  if (points_.empty()) return 0.0;
-  double area = 0.0;
-  for (std::size_t i = 0; i + 1 < points_.size(); ++i) {
-    area += points_[i].second * (points_[i + 1].first - points_[i].first);
-  }
-  area += points_.back().second * (end - points_.back().first);
-  const double span = end - points_.front().first;
-  return span > 0.0 ? area / span : points_.front().second;
-}
-
-double StepTimeSeries::ValueAt(double t) const {
-  if (points_.empty() || t < points_.front().first) return 0.0;
-  // Binary search for the last point with time <= t.
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), t,
-      [](double lhs, const std::pair<double, double>& p) {
-        return lhs < p.first;
-      });
-  return std::prev(it)->second;
-}
-
-double StepTimeSeries::MaxInWindow(double t0, double t1) const {
-  if (points_.empty()) return 0.0;
-  double best = ValueAt(t0);
-  auto it = std::lower_bound(
-      points_.begin(), points_.end(), t0,
-      [](const std::pair<double, double>& p, double rhs) {
-        return p.first < rhs;
-      });
-  for (; it != points_.end() && it->first < t1; ++it) {
-    best = std::max(best, it->second);
-  }
-  return best;
-}
-
 }  // namespace vod

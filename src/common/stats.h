@@ -35,8 +35,8 @@ class RunningStats {
 };
 
 /// Piecewise-constant time series sampler: records (time, value) points and
-/// answers max/mean-over-time queries. Used to track concurrency and memory
-/// usage over a simulated day.
+/// keeps their running maximum. Used to track concurrency and memory usage
+/// over a simulated day.
 class StepTimeSeries {
  public:
   /// Records that the tracked value became `value` at time `t`. Times must
@@ -45,14 +45,6 @@ class StepTimeSeries {
 
   bool empty() const { return points_.empty(); }
   double max_value() const { return max_value_; }
-  /// Time-weighted mean of the signal between the first record and `end`.
-  double TimeWeightedMean(double end) const;
-  /// Value in effect at time `t` (last record at or before t; 0 before the
-  /// first record).
-  double ValueAt(double t) const;
-  /// Maximum value attained in the half-open window [t0, t1). Considers the
-  /// value in effect at t0.
-  double MaxInWindow(double t0, double t1) const;
   const std::vector<std::pair<double, double>>& points() const {
     return points_;
   }

@@ -33,17 +33,14 @@ Status StaticBufferAllocator::Admit(RequestId id, Seconds /*now*/) {
   if (admitted_.count(id) > 0) {
     return Status::FailedPrecondition("request already admitted");
   }
-  if (active_ >= params_.n_max) {
+  if (active_count() >= params_.n_max) {
     return Status::CapacityExceeded("system fully loaded (n == N)");
   }
-  admitted_[id] = true;
-  ++active_;
+  admitted_.insert(id);
   return Status::OK();
 }
 
-void StaticBufferAllocator::Remove(RequestId id) {
-  if (admitted_.erase(id) > 0) --active_;
-}
+void StaticBufferAllocator::Remove(RequestId id) { admitted_.erase(id); }
 
 Result<AllocationDecision> StaticBufferAllocator::Allocate(RequestId id,
                                                            Seconds /*now*/) {
@@ -52,7 +49,7 @@ Result<AllocationDecision> StaticBufferAllocator::Allocate(RequestId id,
   }
   AllocationDecision d;
   d.buffer_size = buffer_size_;
-  d.n = active_;
+  d.n = active_count();
   d.k = 0;
   d.usage_period = buffer_size_ / params_.cr;
   return d;
@@ -62,7 +59,7 @@ Result<AllocationDecision> StaticBufferAllocator::Preview(
     Seconds /*now*/) const {
   AllocationDecision d;
   d.buffer_size = buffer_size_;
-  d.n = active_;
+  d.n = active_count();
   d.k = 0;
   d.usage_period = buffer_size_ / params_.cr;
   return d;

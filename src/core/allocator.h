@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -79,7 +80,9 @@ class StaticBufferAllocator final : public BufferAllocator {
   void MarkDrained(RequestId /*id*/) override {}
   Result<AllocationDecision> Allocate(RequestId id, Seconds now) override;
   Result<AllocationDecision> Preview(Seconds now) const override;
-  [[nodiscard]] int active_count() const override { return active_; }
+  [[nodiscard]] int active_count() const override {
+    return static_cast<int>(admitted_.size());
+  }
   [[nodiscard]] const AllocParams& params() const override { return params_; }
 
  private:
@@ -87,8 +90,7 @@ class StaticBufferAllocator final : public BufferAllocator {
 
   AllocParams params_;
   Bits buffer_size_;
-  int active_ = 0;
-  std::map<RequestId, bool> admitted_;
+  std::set<RequestId> admitted_;
 };
 
 /// The paper's dynamic scheme (Fig. 5): predicts k_c from the arrival log,

@@ -45,7 +45,7 @@ struct TraceEvent {
   RequestId request = kInvalidRequestId;
 
   // Payload; meaning depends on kind (0 where not applicable).
-  std::int32_t n = 0;        ///< kAdmit / kAllocation: requests in service.
+  std::int32_t n = 0;  ///< Admission kinds, kAllocation: requests in service.
   std::int32_t k = 0;        ///< kAllocation: estimated additional requests.
   Bits bits;             ///< kAllocation: buffer size; kService*: read size.
   Seconds usage_period;  ///< kAllocation: Eq. 8 usage period.
@@ -53,19 +53,6 @@ struct TraceEvent {
   Seconds rotation;      ///< kService*: rotational component.
   Seconds transfer;      ///< kService*: transfer component.
 };
-
-/// Whether the simulator/scheduler trace hooks were compiled in
-/// (-DVODB_TRACE=ON). The tracer classes themselves always exist — only the
-/// hot-path emission sites compile away — so harnesses can warn when a
-/// --trace flag cannot produce events.
-#ifndef VODB_TRACE_ENABLED
-#define VODB_TRACE_ENABLED 0
-#endif
-#if VODB_TRACE_ENABLED
-inline constexpr bool kTraceHooksCompiledIn = true;
-#else
-inline constexpr bool kTraceHooksCompiledIn = false;
-#endif
 
 }  // namespace vod::obs
 

@@ -20,6 +20,7 @@ namespace vod::sim {
 namespace {
 constexpr Seconds kEps = Seconds(1e-9);
 constexpr Seconds kInf = Seconds::Infinity();
+using TraceKind = obs::TraceEventKind;
 }  // namespace
 
 // The invariant-audit hooks below compile to nothing unless the tree is
@@ -27,20 +28,6 @@ constexpr Seconds kInf = Seconds::Infinity();
 // pure observer: auditing on/off cannot change a single metric.
 #ifndef VODB_AUDIT_ENABLED
 #define VODB_AUDIT_ENABLED 0
-#endif
-
-// The trace-emission blocks follow the same compile-time gating discipline
-// under VODB_TRACE=ON (OFF by default; obs/trace_event.h defines the macro
-// to 0 when unset). Emission is likewise a pure observer: it reads state the
-// handler already computed and never feeds anything back. VODB_TRACE_INIT
-// seeds an event with the fields every kind carries.
-#if VODB_TRACE_ENABLED
-#define VODB_TRACE_INIT(ev_, kind_, request_)      \
-  obs::TraceEvent ev_;                             \
-  ev_.time = now_;                                 \
-  ev_.kind = obs::TraceEventKind::kind_;           \
-  ev_.disk = config_.disk_id;                      \
-  ev_.request = request_
 #endif
 
 std::string_view AllocSchemeName(AllocScheme s) {
@@ -150,15 +137,20 @@ VodSimulator::VodSimulator(const SimConfig& config,
       static_cast<std::size_t>(alloc_params_.n_max) + 1);
 }
 
+Status VodSimulator::ValidateArrival(const ArrivalEvent& ev) const {
+  if (ev.time < now_) {
+    return Status::InvalidArgument("arrival in the past");
+  }
+  if (ev.video < 0 || ev.video >= layout_.video_count()) {
+    return Status::InvalidArgument("arrival references unknown video");
+  }
+  return Status::OK();
+}
+
 Status VodSimulator::ValidateArrivals(
     const std::vector<ArrivalEvent>& arrivals) const {
   for (const ArrivalEvent& ev : arrivals) {
-    if (ev.time < now_) {
-      return Status::InvalidArgument("arrival in the past");
-    }
-    if (ev.video < 0 || ev.video >= layout_.video_count()) {
-      return Status::InvalidArgument("arrival references unknown video");
-    }
+    VOD_RETURN_IF_ERROR(ValidateArrival(ev));
   }
   return Status::OK();
 }
@@ -276,6 +268,35 @@ void VodSimulator::SampleTimeseries() {
   sample.degraded = degraded;
   sample.disk_busy = metrics_.disk_busy_time;
   timeseries_->Record(now_, sample);
+}
+
+// Trace emission: a pure observer that builds no event without a tracer.
+obs::TraceEvent VodSimulator::TraceStamp(TraceKind kind, RequestId id) const {
+  obs::TraceEvent ev;
+  ev.time = now_;
+  ev.kind = kind;
+  ev.disk = config_.disk_id;
+  ev.request = id;
+  if (kind == TraceKind::kAdmit || kind == TraceKind::kDefer ||
+      kind == TraceKind::kRejectCapacity || kind == TraceKind::kRejectMemory) {
+    ev.n = allocator_->active_count();
+  }
+  return ev;
+}
+
+void VodSimulator::Trace(TraceKind kind, RequestId id) {
+  if (tracer_ != nullptr) tracer_->Emit(TraceStamp(kind, id));
+}
+
+void VodSimulator::TraceService(TraceKind kind, RequestId id, Bits bits,
+                                const disk::ServiceTiming& timing) {
+  if (tracer_ == nullptr) return;
+  obs::TraceEvent ev = TraceStamp(kind, id);
+  ev.bits = bits;
+  ev.seek = timing.seek;
+  ev.rotation = timing.rotation;
+  ev.transfer = timing.transfer;
+  tracer_->Emit(ev);
 }
 
 // ---------------------------------------------------------------------------
@@ -473,12 +494,7 @@ void VodSimulator::HandleArrival(const SimEvent& ev) {
 }
 
 Result<RequestId> VodSimulator::SubmitNow(const ArrivalEvent& arrival) {
-  if (arrival.time < now_ - kEps) {
-    return Status::InvalidArgument("arrival in the past");
-  }
-  if (arrival.video < 0 || arrival.video >= layout_.video_count()) {
-    return Status::InvalidArgument("arrival references unknown video");
-  }
+  VOD_RETURN_IF_ERROR(ValidateArrival(arrival));
   now_ = std::max(now_, arrival.time);
   return ProcessArrival(arrival);
 }
@@ -503,21 +519,11 @@ Result<RequestId> VodSimulator::ProcessArrival(const ArrivalEvent& a) {
       std::clamp(a.start_position * alloc_params_.cr, Bits(0), info->size);
   r.total_bits = std::min(a.viewing_time * alloc_params_.cr,
                           info->size - r.start_offset);
-#if VODB_TRACE_ENABLED
-  if (tracer_ != nullptr) {
-    VODB_TRACE_INIT(ev, kArrival, r.id);
-    tracer_->Emit(ev);
-  }
-#endif
+  Trace(TraceKind::kArrival, r.id);
   if (r.total_bits <= Bits(0)) {
     ++metrics_.rejected;
     ++metrics_.rejected_invalid;
-#if VODB_TRACE_ENABLED
-    if (tracer_ != nullptr) {
-      VODB_TRACE_INIT(ev, kRejectInvalid, r.id);
-      tracer_->Emit(ev);
-    }
-#endif
+    Trace(TraceKind::kRejectInvalid, r.id);
     return Status::InvalidArgument("nothing to play at that position");
   }
 
@@ -527,13 +533,7 @@ Result<RequestId> VodSimulator::ProcessArrival(const ArrivalEvent& a) {
   if (allocator_->active_count() >= alloc_params_.n_max) {
     ++metrics_.rejected;
     ++metrics_.rejected_capacity;
-#if VODB_TRACE_ENABLED
-    if (tracer_ != nullptr) {
-      VODB_TRACE_INIT(ev, kRejectCapacity, r.id);
-      ev.n = allocator_->active_count();
-      tracer_->Emit(ev);
-    }
-#endif
+    Trace(TraceKind::kRejectCapacity, r.id);
     return Status::CapacityExceeded("fully loaded (n == N)");
   }
   if (broker_ != nullptr &&
@@ -541,13 +541,7 @@ Result<RequestId> VodSimulator::ProcessArrival(const ArrivalEvent& a) {
                          last_k_estimate_)) {
     ++metrics_.rejected;
     ++metrics_.rejected_memory;
-#if VODB_TRACE_ENABLED
-    if (tracer_ != nullptr) {
-      VODB_TRACE_INIT(ev, kRejectMemory, r.id);
-      ev.n = allocator_->active_count();
-      tracer_->Emit(ev);
-    }
-#endif
+    Trace(TraceKind::kRejectMemory, r.id);
     return Status::CapacityExceeded("memory budget exhausted");
   }
 
@@ -581,12 +575,7 @@ Status VodSimulator::CancelRequest(RequestId id) {
   auditor_.ForgetRequest(id);
 #endif
   ++metrics_.cancelled;
-#if VODB_TRACE_ENABLED
-  if (tracer_ != nullptr) {
-    VODB_TRACE_INIT(ev, kCancel, id);
-    tracer_->Emit(ev);
-  }
-#endif
+  Trace(TraceKind::kCancel, id);
   RecordConcurrency();
   ReportBrokerState(last_k_estimate_);
   MaybeScheduleService();
@@ -614,13 +603,7 @@ void VodSimulator::TryAdmitPending() {
       requests_.Erase(id);
       ++metrics_.rejected;
       ++metrics_.rejected_capacity;
-#if VODB_TRACE_ENABLED
-      if (tracer_ != nullptr) {
-        VODB_TRACE_INIT(ev, kRejectCapacity, id);
-        ev.n = allocator_->active_count();
-        tracer_->Emit(ev);
-      }
-#endif
+      Trace(TraceKind::kRejectCapacity, id);
       continue;
     }
     if (broker_ != nullptr &&
@@ -630,13 +613,7 @@ void VodSimulator::TryAdmitPending() {
       requests_.Erase(id);
       ++metrics_.rejected;
       ++metrics_.rejected_memory;
-#if VODB_TRACE_ENABLED
-      if (tracer_ != nullptr) {
-        VODB_TRACE_INIT(ev, kRejectMemory, id);
-        ev.n = allocator_->active_count();
-        tracer_->Emit(ev);
-      }
-#endif
+      Trace(TraceKind::kRejectMemory, id);
       continue;
     }
 
@@ -645,13 +622,7 @@ void VodSimulator::TryAdmitPending() {
       if (!r.was_deferred) {
         r.was_deferred = true;
         ++metrics_.deferred_admissions;
-#if VODB_TRACE_ENABLED
-        if (tracer_ != nullptr) {
-          VODB_TRACE_INIT(ev, kDefer, id);
-          ev.n = allocator_->active_count();
-          tracer_->Emit(ev);
-        }
-#endif
+        Trace(TraceKind::kDefer, id);
       }
       break;  // FIFO: later arrivals wait behind the deferred one.
     }
@@ -661,13 +632,7 @@ void VodSimulator::TryAdmitPending() {
       requests_.Erase(id);
       ++metrics_.rejected;
       ++metrics_.rejected_capacity;
-#if VODB_TRACE_ENABLED
-      if (tracer_ != nullptr) {
-        VODB_TRACE_INIT(ev, kRejectCapacity, id);
-        ev.n = allocator_->active_count();
-        tracer_->Emit(ev);
-      }
-#endif
+      Trace(TraceKind::kRejectCapacity, id);
       continue;
     }
 
@@ -676,13 +641,7 @@ void VodSimulator::TryAdmitPending() {
     r.admitted = true;
     r.n_at_admit = allocator_->active_count();
     ++metrics_.admitted;
-#if VODB_TRACE_ENABLED
-    if (tracer_ != nullptr) {
-      VODB_TRACE_INIT(ev, kAdmit, id);
-      ev.n = allocator_->active_count();
-      tracer_->Emit(ev);
-    }
-#endif
+    Trace(TraceKind::kAdmit, id);
     scheduler_->Add(id, now_);
     RecordConcurrency();
     ReportBrokerState(last_k_estimate_, /*at_admission=*/true);
@@ -779,14 +738,7 @@ void VodSimulator::BeginService(RequestId id) {
     Push(now_ + dur, SimEventKind::kServiceComplete, id);
     ++metrics_.read_faults;
     metrics_.disk_busy_time += dur;
-#if VODB_TRACE_ENABLED
-    if (tracer_ != nullptr) {
-      VODB_TRACE_INIT(fault_ev, kReadFault, id);
-      fault_ev.seek = timing->seek;
-      fault_ev.rotation = timing->rotation;
-      tracer_->Emit(fault_ev);
-    }
-#endif
+    TraceService(TraceKind::kReadFault, id, Bits(0), *timing);
     return;
   }
 
@@ -819,22 +771,15 @@ void VodSimulator::BeginService(RequestId id) {
   rec.buffer_size = d->buffer_size;
   rec.usage_period = d->usage_period;
   metrics_.allocations.push_back(rec);
-#if VODB_TRACE_ENABLED
   if (tracer_ != nullptr) {
-    VODB_TRACE_INIT(alloc_ev, kAllocation, id);
-    alloc_ev.n = d->n;
-    alloc_ev.k = d->k;
-    alloc_ev.bits = d->buffer_size;
-    alloc_ev.usage_period = d->usage_period;
-    tracer_->Emit(alloc_ev);
-    VODB_TRACE_INIT(start_ev, kServiceStart, id);
-    start_ev.bits = bits;
-    start_ev.seek = timing->seek;
-    start_ev.rotation = timing->rotation;
-    start_ev.transfer = timing->transfer;
-    tracer_->Emit(start_ev);
+    obs::TraceEvent ev = TraceStamp(TraceKind::kAllocation, id);
+    ev.n = d->n;
+    ev.k = d->k;
+    ev.bits = d->buffer_size;
+    ev.usage_period = d->usage_period;
+    tracer_->Emit(ev);
   }
-#endif
+  TraceService(TraceKind::kServiceStart, id, bits, *timing);
 #if VODB_AUDIT_ENABLED
   auditor_.CheckAllocation(alloc_params_, config_.method, config_.profile,
                            config_.scheme == AllocScheme::kDynamic, rec);
@@ -861,12 +806,7 @@ void VodSimulator::DetectStarvation() {
     if (starving && !r.starved) {
       r.starved = true;
       ++metrics_.starvation_events;
-#if VODB_TRACE_ENABLED
-      if (tracer_ != nullptr) {
-        VODB_TRACE_INIT(ev, kStarvation, r.id);
-        tracer_->Emit(ev);
-      }
-#endif
+      Trace(TraceKind::kStarvation, r.id);
       // Under active fault injection a missed round degrades the stream
       // (graceful degradation, not failure). Gated on an active injector so
       // fault-free runs — including ones with residual starvation — keep
@@ -888,12 +828,7 @@ void VodSimulator::MarkDegraded(Req& r) {
     r.ever_degraded = true;
     ++metrics_.degraded_streams;
   }
-#if VODB_TRACE_ENABLED
-  if (tracer_ != nullptr) {
-    VODB_TRACE_INIT(ev, kDegraded, r.id);
-    tracer_->Emit(ev);
-  }
-#endif
+  Trace(TraceKind::kDegraded, r.id);
   if (postmortem_ != nullptr) {
     postmortem_->NoteDegradation(
         static_cast<std::uint64_t>(metrics_.hiccup_events),
@@ -909,18 +844,12 @@ void VodSimulator::HandleServiceComplete(const SimEvent& ev) {
   in_service_ = kInvalidRequestId;
   const bool failed = in_service_failed_;
   in_service_failed_ = false;
-#if VODB_TRACE_ENABLED
   // A failed read traced kReadFault at its start; only successful reads
   // carry a service_end (the Chrome exporter pairs it with service_start).
-  if (tracer_ != nullptr && !failed) {
-    VODB_TRACE_INIT(end_ev, kServiceEnd, id);
-    end_ev.bits = in_service_bits_;
-    end_ev.seek = in_service_timing_.seek;
-    end_ev.rotation = in_service_timing_.rotation;
-    end_ev.transfer = in_service_timing_.transfer;
-    tracer_->Emit(end_ev);
+  if (!failed) {
+    TraceService(TraceKind::kServiceEnd, id, in_service_bits_,
+                 in_service_timing_);
   }
-#endif
 
   // A request can depart mid-service only if viewing ended exactly at the
   // boundary; it may also have been removed — guard.
@@ -939,12 +868,7 @@ void VodSimulator::HandleServiceComplete(const SimEvent& ev) {
         // the stream stays first in line.
         ++metrics_.hiccup_events;
         r.round_failures = 0;
-#if VODB_TRACE_ENABLED
-        if (tracer_ != nullptr) {
-          VODB_TRACE_INIT(hiccup_ev, kHiccup, id);
-          tracer_->Emit(hiccup_ev);
-        }
-#endif
+        Trace(TraceKind::kHiccup, id);
         if (postmortem_ != nullptr) {
           postmortem_->NoteDegradation(
               static_cast<std::uint64_t>(metrics_.hiccup_events),
@@ -974,12 +898,7 @@ void VodSimulator::HandleServiceComplete(const SimEvent& ev) {
       r.degraded = false;
       r.round_failures = 0;
       ++metrics_.fault_recoveries;
-#if VODB_TRACE_ENABLED
-      if (tracer_ != nullptr) {
-        VODB_TRACE_INIT(rec_ev, kRecovered, id);
-        tracer_->Emit(rec_ev);
-      }
-#endif
+      Trace(TraceKind::kRecovered, id);
     }
     ++r.fill_count;
 #if VODB_AUDIT_ENABLED
@@ -1038,12 +957,7 @@ void VodSimulator::HandleDeparture(const SimEvent& ev) {
   auditor_.ForgetRequest(id);
 #endif
   ++metrics_.completed;
-#if VODB_TRACE_ENABLED
-  if (tracer_ != nullptr) {
-    VODB_TRACE_INIT(trace_ev, kDeparture, id);
-    tracer_->Emit(trace_ev);
-  }
-#endif
+  Trace(TraceKind::kDeparture, id);
   RecordConcurrency();
   ReportBrokerState(last_k_estimate_);
   MaybeScheduleService();

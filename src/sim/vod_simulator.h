@@ -15,6 +15,7 @@
 #include "core/params.h"
 #include "disk/simulated_disk.h"
 #include "disk/video_layout.h"
+#include "obs/trace_event.h"
 #include "sched/scheduler.h"
 #include "sim/event_queue.h"
 #include "sim/invariant_auditor.h"
@@ -96,7 +97,8 @@ class VodSimulator : public sched::SchedulerContext {
   Status ValidateArrivals(const std::vector<ArrivalEvent>& arrivals) const;
 
   /// Processes one arrival synchronously at the current clock (the event
-  /// time must not precede now()). Returns the assigned request id, or
+  /// time must not precede now()). Returns the assigned request id,
+  /// InvalidArgument for an arrival ValidateArrivals would refuse, or
   /// CapacityExceeded if the request was rejected on the spot. The request
   /// may still be waiting in the admission queue (deferred) on return.
   Result<RequestId> SubmitNow(const ArrivalEvent& arrival);
@@ -134,9 +136,8 @@ class VodSimulator : public sched::SchedulerContext {
   const InvariantAuditor& auditor() const { return auditor_; }
 
   /// Attaches a structured event tracer (nullptr detaches). The tracer must
-  /// outlive the simulator. Events flow only when the tree is built with
-  /// VODB_TRACE=ON; either way the tracer is a pure observer — no metric or
-  /// golden CSV changes by attaching one.
+  /// outlive the simulator. It is a pure observer: no metric or golden CSV
+  /// changes by attaching one, and a run without one builds no event.
   void set_tracer(obs::EventTracer* tracer) { tracer_ = tracer; }
   obs::EventTracer* tracer() const { return tracer_; }
 
@@ -213,6 +214,8 @@ class VodSimulator : public sched::SchedulerContext {
   void Push(Seconds time, SimEventKind kind, RequestId id,
             std::size_t arrival_index = 0);
 
+  /// The per-arrival check of ValidateArrivals and SubmitNow.
+  Status ValidateArrival(const ArrivalEvent& arrival) const;
   void HandleArrival(const SimEvent& ev);
   Result<RequestId> ProcessArrival(const ArrivalEvent& a);
   void HandleServiceComplete(const SimEvent& ev);
@@ -310,6 +313,15 @@ class VodSimulator : public sched::SchedulerContext {
 
   /// Assembles a TimeseriesSample from current state and records it.
   void SampleTimeseries();
+
+  /// An event of `kind` about request `id`, stamped with the clock and this
+  /// disk; the admission kinds also carry the load `n`.
+  obs::TraceEvent TraceStamp(obs::TraceEventKind kind, RequestId id) const;
+  /// Emits TraceStamp(kind, id) when a tracer is attached; TraceService adds
+  /// a read's size and seek/rotation/transfer breakdown.
+  void Trace(obs::TraceEventKind kind, RequestId id);
+  void TraceService(obs::TraceEventKind kind, RequestId id, Bits bits,
+                    const disk::ServiceTiming& timing);
 
   InvariantAuditor auditor_;
   SimMetrics metrics_;

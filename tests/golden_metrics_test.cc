@@ -15,6 +15,7 @@
 // in the commit message.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -110,10 +111,11 @@ TEST(GoldenMetricsTest, AllMethodSchemeCombinationsMatchGoldenValues) {
 }
 
 /// Attaching an event tracer must not change a single metric: the tracer is
-/// a pure observer whether the build compiles emission hooks in
-/// (-DVODB_TRACE=ON) or not. Exact equality, not bands — any drift means an
-/// emission site leaked into simulation behaviour, which would also break
-/// the golden CSVs' byte-stability guarantee.
+/// a pure observer. Exact equality, not bands — any drift means an emission
+/// site leaked into simulation behaviour, which would also break the golden
+/// CSVs' byte-stability guarantee. The trace in turn agrees with the
+/// metrics: each kind mirrors one counter, and each service emits an
+/// allocation, a start and an end.
 TEST(GoldenMetricsTest, TracerIsPureObserver) {
   const DayRunConfig base =
       GoldenConfig(core::ScheduleMethod::kSweep, sim::AllocScheme::kDynamic);
@@ -138,12 +140,12 @@ TEST(GoldenMetricsTest, TracerIsPureObserver) {
   EXPECT_EQ(plain.memory_usage.max_value(), traced.memory_usage.max_value());
   EXPECT_EQ(plain.allocations.size(), traced.allocations.size());
 
-  if (obs::kTraceHooksCompiledIn) {
-    // A busy 4 h day must have produced events (admits + services at least).
-    EXPECT_GT(tracer.total_emitted(), 0u);
-  } else {
-    EXPECT_EQ(tracer.total_emitted(), 0u);
-  }
+  const long implied = traced.arrivals + traced.admitted +
+                       traced.deferred_admissions + traced.rejected +
+                       3 * traced.services + traced.starvation_events +
+                       traced.completed + traced.cancelled;
+  EXPECT_GT(implied, 0);
+  EXPECT_EQ(tracer.total_emitted(), static_cast<std::uint64_t>(implied));
 }
 
 /// `rejected` is documented as the exact sum of the per-cause counters.

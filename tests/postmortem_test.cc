@@ -5,6 +5,7 @@
 // fault-layer hiccup into dumps without perturbing the run (pure-observer
 // checks ride along in golden_metrics_test.cc and chaos paths here).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -258,8 +259,9 @@ TEST(PostmortemWiringTest, DetachingSinkDisarmsCapture) {
 }
 
 /// End to end through RunDay: a fault schedule whose first hiccup crosses
-/// the threshold dumps with the ring tail attached, and attaching the black
-/// box leaves every metric untouched (pure observer under faults).
+/// the threshold dumps with the ring tail attached, attaching the black box
+/// leaves every metric untouched (pure observer under faults), and the
+/// trace agrees with the metrics, fault kinds included.
 TEST(PostmortemWiringTest, ChaosHiccupThresholdDumpsAndStaysPureObserver) {
   exp::DayRunConfig cfg;
   cfg.method = core::ScheduleMethod::kSweep;
@@ -290,10 +292,8 @@ TEST(PostmortemWiringTest, ChaosHiccupThresholdDumpsAndStaysPureObserver) {
   const std::string doc = ReadFile(sink.paths()[0]);
   EXPECT_NE(doc.find("\"reason\": \"hiccup\""), std::string::npos);
   EXPECT_NE(doc.find("hiccups=1"), std::string::npos);
-  if (kTraceHooksCompiledIn) {
-    // ...with the run's last moments in the ring tail.
-    EXPECT_NE(doc.find("\"kind\": \"hiccup\""), std::string::npos);
-  }
+  // ...with the run's last moments in the ring tail.
+  EXPECT_NE(doc.find("\"kind\": \"hiccup\""), std::string::npos);
 
   // ...and changed nothing. Exact equality on every metric class.
   EXPECT_EQ(plain.arrivals, observed.arrivals);
@@ -309,6 +309,16 @@ TEST(PostmortemWiringTest, ChaosHiccupThresholdDumpsAndStaysPureObserver) {
   EXPECT_EQ(plain.disk_busy_time, observed.disk_busy_time);
   EXPECT_EQ(plain.buffer_bits_allocated, observed.buffer_bits_allocated);
   EXPECT_EQ(plain.buffer_bits_released, observed.buffer_bits_released);
+
+  // Each kind mirrors one counter; each successful service emits an
+  // allocation, a start and an end, and each failed read one read_fault.
+  const long implied =
+      observed.arrivals + observed.admitted + observed.deferred_admissions +
+      observed.rejected + 3 * observed.services + observed.starvation_events +
+      observed.completed + observed.cancelled + observed.read_faults +
+      observed.hiccup_events + observed.degraded_entries +
+      observed.fault_recoveries;
+  EXPECT_EQ(tracer.total_emitted(), static_cast<std::uint64_t>(implied));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -246,6 +248,21 @@ TEST(SimulatorTest, AddArrivalsValidates) {
   EXPECT_FALSE((*sim)->AddArrivals({good, bad}).ok());
   EXPECT_EQ((*sim)->event_count(), 0u);
   EXPECT_EQ((*sim)->NextEventTime(), Seconds::Infinity());
+
+  // SubmitNow makes the same check: strictly nothing before now(), and only
+  // videos of this disk. A refused arrival is not counted.
+  ASSERT_TRUE((*sim)->AddArrivals({good}).ok());
+  (*sim)->RunUntil(Seconds(1.0));
+  ASSERT_EQ((*sim)->now(), Seconds(1.0));
+  ArrivalEvent late = good;
+  late.time = (*sim)->now() - Seconds(1e-12);
+  EXPECT_EQ((*sim)->SubmitNow(late).status().code(),
+            StatusCode::kInvalidArgument);
+  ArrivalEvent unknown = bad;
+  unknown.time = (*sim)->now();
+  EXPECT_EQ((*sim)->SubmitNow(unknown).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*sim)->metrics().arrivals, 1);
 }
 
 TEST(SimulatorTest, ConfigValidation) {
@@ -283,9 +300,9 @@ TEST(MergeStepSeriesTest, SumsStepFunctions) {
   a.Record(10.0, 3.0);
   b.Record(5.0, 2.0);
   StepTimeSeries sum = MergeStepSeriesSum({&a, &b});
-  EXPECT_DOUBLE_EQ(sum.ValueAt(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(sum.ValueAt(5.0), 3.0);
-  EXPECT_DOUBLE_EQ(sum.ValueAt(10.0), 5.0);
+  const std::vector<std::pair<double, double>> expected = {
+      {0.0, 1.0}, {5.0, 3.0}, {10.0, 5.0}};
+  EXPECT_EQ(sum.points(), expected);
   EXPECT_DOUBLE_EQ(sum.max_value(), 5.0);
 }
 

@@ -73,44 +73,17 @@ TEST(RunningStatsTest, ResetClears) {
   EXPECT_EQ(s.count(), 0u);
 }
 
-TEST(StepTimeSeriesTest, MaxAndValueAt) {
+TEST(StepTimeSeriesTest, MaxValue) {
   StepTimeSeries ts;
   ts.Record(0.0, 1.0);
   ts.Record(10.0, 3.0);
   ts.Record(20.0, 2.0);
   EXPECT_DOUBLE_EQ(ts.max_value(), 3.0);
-  EXPECT_DOUBLE_EQ(ts.ValueAt(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(ts.ValueAt(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(ts.ValueAt(9.9), 1.0);
-  EXPECT_DOUBLE_EQ(ts.ValueAt(10.0), 3.0);
-  EXPECT_DOUBLE_EQ(ts.ValueAt(25.0), 2.0);
-}
-
-TEST(StepTimeSeriesTest, TimeWeightedMean) {
-  StepTimeSeries ts;
-  ts.Record(0.0, 2.0);
-  ts.Record(10.0, 4.0);
-  // 10s at 2, then 10s at 4 → mean 3.
-  EXPECT_DOUBLE_EQ(ts.TimeWeightedMean(20.0), 3.0);
-}
-
-TEST(StepTimeSeriesTest, MaxInWindow) {
-  StepTimeSeries ts;
-  ts.Record(0.0, 1.0);
-  ts.Record(5.0, 7.0);
-  ts.Record(6.0, 2.0);
-  EXPECT_DOUBLE_EQ(ts.MaxInWindow(0.0, 5.0), 1.0);   // Before the spike.
-  EXPECT_DOUBLE_EQ(ts.MaxInWindow(0.0, 5.5), 7.0);   // Includes the spike.
-  EXPECT_DOUBLE_EQ(ts.MaxInWindow(5.5, 10.0), 7.0);  // Value at window start.
-  EXPECT_DOUBLE_EQ(ts.MaxInWindow(6.0, 10.0), 2.0);
 }
 
 TEST(StepTimeSeriesTest, EmptySeries) {
   StepTimeSeries ts;
   EXPECT_TRUE(ts.empty());
-  EXPECT_DOUBLE_EQ(ts.ValueAt(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(ts.TimeWeightedMean(10.0), 0.0);
-  EXPECT_DOUBLE_EQ(ts.MaxInWindow(0.0, 1.0), 0.0);
 }
 
 }  // namespace
