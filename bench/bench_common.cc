@@ -1,5 +1,6 @@
 #include "bench/bench_common.h"
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -273,7 +274,15 @@ void ObsSession::Finish(const std::vector<exp::RunResult>& results) const {
       obs::TraceRun tr;
       tr.label = SpecLabel(r.spec);
       tr.pid = static_cast<int>(r.spec.index);
-      tr.events = tracers_[r.spec.index]->Snapshot();
+      const obs::EventTracer& tracer = *tracers_[r.spec.index];
+      tr.events = tracer.Snapshot();
+      tr.dropped = tracer.dropped();
+      if (tr.dropped > 0) {
+        std::fprintf(stderr,
+                     "trace: %s kept the last %zu of %" PRIu64 " events\n",
+                     tr.label.c_str(), tr.events.size(),
+                     tracer.total_emitted());
+      }
       runs.push_back(std::move(tr));
     }
     obs::TraceExportOptions topt;

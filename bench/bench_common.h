@@ -23,7 +23,8 @@ namespace vod::bench {
 /// Every harness accepts:
 ///   --full          paper-scale sweep (24 h days, 5 seeds, full grids)
 ///   --seeds=K       override the seed count
-///   --threads=N     worker threads for the experiment runner
+///   --threads=N     threads that run the experiment runner's sweep, the
+///                   calling thread included, so N = 1 starts none
 ///                   (default hardware_concurrency; output is byte-identical
 ///                   at any N)
 ///   --json          emit JSON instead of CSV (runner-based harnesses)

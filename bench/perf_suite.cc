@@ -249,9 +249,9 @@ void BM_ProfScope(bk::State& state) {
 }
 
 // --- parallel_for_dispatch: one ParallelFor(100) with a trivial body on a
-// 4-worker pool — the fixed fork-join cost (publish, wake, claim, join)
-// that every epoch of a 100-disk sharded day pays on top of its disks'
-// work. ---
+// 4-thread pool, the caller included — the fixed fork-join cost (publish,
+// wake, claim, join) that every epoch of a 100-disk sharded day pays on top
+// of its disks' work. ---
 void BM_ParallelForDispatch(bk::State& state) {
   exp::ThreadPool pool(4);
   const std::function<void(std::size_t)> body = [](std::size_t i) {
@@ -310,7 +310,8 @@ void BM_RunDaySharded(bk::State& state) {
   auto arrivals = sim::GenerateWorkload(w);
   if (!arrivals.ok()) return;
 
-  exp::ThreadPool pool;  // One worker per hardware thread.
+  // One thread per hardware thread, the caller included.
+  exp::ThreadPool pool;
   for (auto _ : state) {
     static_cast<void>(_);
     auto md = sim::MultiDiskSimulator::Create(base, kDisks, Mebibytes(200));

@@ -2,9 +2,9 @@
 # ThreadSanitizer verification pass: configures build-tsan/ with
 # VODB_TSAN=ON, builds everything, and runs the tier-1 ctest suite. The
 # concurrent traffic TSan needs comes from thread_pool_stress_test
-# (workers racing for ParallelFor's shared index, back-to-back rounds,
-# exceptions under contention), the 8-thread exp_runner_test sweeps and
-# sharded_sim_test's multi-worker epochs.
+# (the calling thread and the workers racing for ParallelFor's shared
+# index, back-to-back rounds, exceptions under contention), the 8-thread
+# exp_runner_test sweeps and sharded_sim_test's multi-thread epochs.
 # Usage: scripts/verify_tsan.sh [extra ctest args...]
 set -euo pipefail
 

@@ -48,7 +48,8 @@ std::vector<RunResult> Runner::RunWithSpecs(const Grid& grid,
     if (progress != nullptr) progress->OnComplete();
   };
 
-  // No more workers than grid points: a one-point grid starts one thread.
+  // No more threads than grid points: a one-point grid runs on the caller
+  // and starts no thread.
   ThreadPool pool(static_cast<int>(
       std::min(specs.size(), static_cast<std::size_t>(threads_))));
   pool.ParallelFor(specs.size(), run_one);

@@ -15,8 +15,8 @@
 namespace vod::exp {
 
 struct RunnerOptions {
-  /// Worker threads; <= 0 selects ThreadPool::DefaultThreads()
-  /// (hardware_concurrency).
+  /// Threads that run the sweep, the calling thread included; <= 0 selects
+  /// ThreadPool::DefaultThreads() (hardware_concurrency).
   int threads = 0;
   /// Live stderr progress line (completed/total, runs/s, ETA) while the
   /// sweep executes. Purely cosmetic: results are identical either way.

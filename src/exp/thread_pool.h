@@ -14,11 +14,13 @@
 namespace vod::exp {
 
 /// Fork-join pool for sweeps and sharded epochs: ParallelFor publishes a body
-/// and an index count, and the workers claim indices from one shared counter,
-/// so a few long ones (a Zipf-hot disk, a `--full` day) idle no worker.
+/// and an index count, then the caller and the workers claim indices from one
+/// shared counter, so a few long ones (a Zipf-hot disk, a `--full` day) idle
+/// no thread, and the caller's share starts without waiting for a wake-up.
 class ThreadPool {
  public:
-  /// `threads` <= 0 selects DefaultThreads().
+  /// `threads` threads run each round, the caller included, so `threads` - 1
+  /// workers start (none for 1). `threads` <= 0 selects DefaultThreads().
   explicit ThreadPool(int threads = 0);
 
   /// Joins the workers; no ParallelFor may be in flight.
@@ -27,20 +29,23 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int thread_count() const { return static_cast<int>(workers_.size()); }
+  /// Threads that run a round's indices, the caller included.
+  int thread_count() const { return static_cast<int>(workers_.size()) + 1; }
 
   /// hardware_concurrency(), or 1 when the runtime cannot report it.
   static int DefaultThreads();
 
-  /// Runs fn(i) for every i in [0, n) on the workers and returns when all
-  /// have run; if any threw, the lowest index's exception is rethrown then.
-  /// One call at a time per pool: a call from inside `fn`, or from a second
-  /// thread while another is in flight, fails a VOD_CHECK, not a deadlock.
+  /// Runs fn(i) for every i in [0, n) on the caller and the workers; returns
+  /// once all have run, rethrowing the lowest throwing index's exception. One
+  /// call at a time per pool: a call from inside `fn`, or from a second thread
+  /// while another is in flight, fails a VOD_CHECK, not a deadlock.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  /// Waits for each round, claims and runs its indices until none are left.
+  /// Waits for each round, runs its share and checks out of it.
   void WorkerLoop();
+  /// Claims and runs indices until none are left; caller and workers alike.
+  void RunIndices(const std::function<void(std::size_t)>& fn, std::size_t n);
   void StopAndJoin();
 
   Mutex mu_;

@@ -101,7 +101,7 @@ std::string ToChromeTraceJson(const std::vector<TraceRun>& runs,
       AppendF(m, "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\","
                  "\"args\":{\"name\":\"", run.pid);
       AppendEscaped(m, run.label);
-      m += "\"}}";
+      AppendF(m, "\",\"dropped_events\":%" PRIu64 "}}", run.dropped);
       emit(m);
     }
     std::set<int> disks;

@@ -1,6 +1,7 @@
 #ifndef VODB_OBS_TRACE_EXPORT_H_
 #define VODB_OBS_TRACE_EXPORT_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,11 +12,14 @@ namespace vod::obs {
 
 /// One traced run for export: a label ("rr/dynamic tlog=40 seed=1"), the
 /// Chrome process id it maps to (one process per run; grid sweeps use the
-/// run's grid index), and its time-ordered events (EventTracer::Snapshot()).
+/// run's grid index), its time-ordered events (EventTracer::Snapshot()), and
+/// how many earlier events the ring overwrote before that snapshot
+/// (EventTracer::dropped()): nonzero means `events` is only the run's tail.
 struct TraceRun {
   std::string label;
   int pid = 0;
   std::vector<TraceEvent> events;
+  std::uint64_t dropped = 0;
 };
 
 /// JSONL export: one JSON object per line —
@@ -40,6 +44,8 @@ inline constexpr int kSpanTrackTidBase = 2000;
 
 /// Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
 /// Layout per run (= Chrome process):
+///   - a process_name metadata event whose args carry the label and
+///     "dropped_events" (TraceRun::dropped),
 ///   - one named track per disk carrying B/E "service" slices whose args
 ///     hold the seek/rotation/transfer breakdown,
 ///   - a "requests" track with instants for arrival/admit/defer/reject/

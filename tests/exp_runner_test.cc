@@ -9,6 +9,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,21 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(kN);
   pool.ParallelFor(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+
+  // A one-thread pool is the caller alone: it runs every index itself.
+  ThreadPool solo(1);
+  EXPECT_EQ(solo.thread_count(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> solo_hits(kN, 0);
+  std::vector<std::thread::id> ran_on(kN);
+  solo.ParallelFor(kN, [&](std::size_t i) {
+    ++solo_hits[i];
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(solo_hits[i], 1) << i;
+    EXPECT_EQ(ran_on[i], caller) << i;
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForRethrowsWorkerException) {

@@ -752,9 +752,14 @@ TEST(TraceExportTest, OrphanServiceEndIsDroppedAfterRingWrap) {
       Ev(TraceEventKind::kServiceStart, Seconds(0.3), 9),
       Ev(TraceEventKind::kServiceEnd, Seconds(0.4), 9),
   };
+  run.dropped = 5;  // The overwritten events, the orphan's begin among them.
   const std::string json = ToChromeTraceJson({run});
   EXPECT_EQ(CountOccurrences(json, "\"ph\":\"B\""), 1u);
   EXPECT_EQ(CountOccurrences(json, "\"ph\":\"E\""), 1u);
+  // The export says it holds only a tail.
+  EXPECT_NE(json.find("\"name\":\"process_name\",\"args\":{\"name\":"
+                      "\"wrapped\",\"dropped_events\":5}"),
+            std::string::npos);
 }
 
 TEST(TraceExportTest, SpansOffByDefaultAndOneArgOverloadMatches) {

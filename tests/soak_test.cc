@@ -53,7 +53,8 @@ TEST(SoakTest, TenDiskDayUnderChurnKeepsEveryInvariant) {
   auto server = std::move(md.value());
   ASSERT_TRUE(server->AddArrivals(*arrivals).ok());
 
-  exp::ThreadPool pool;  // Default: one worker per hardware thread.
+  // Default: one thread per hardware thread, the caller included.
+  exp::ThreadPool pool;
   exp::RunShardedToCompletion(*server, pool);
   server->Finalize();
 

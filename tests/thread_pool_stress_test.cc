@@ -1,10 +1,10 @@
 // Stress tests for exp::ThreadPool's fork-join ParallelFor. Their job is
 // to give ThreadSanitizer (cmake -DVODB_TSAN=ON, or scripts/verify_tsan.sh)
-// enough concurrent traffic to bite on: workers racing for the shared index,
-// back-to-back rounds that reuse the same workers (the sharded epoch
-// pattern), exceptions under contention, and pool lifetimes churning. The
-// functional assertions (exact per-index counts) double as lost-wakeup
-// detectors: a missed wakeup hangs a round or miscounts it.
+// enough concurrent traffic to bite on: the caller and the workers racing
+// for the shared index, back-to-back rounds that reuse the same workers (the
+// sharded epoch pattern), exceptions under contention, and pool lifetimes
+// churning. The functional assertions (exact per-index counts) double as
+// lost-wakeup detectors: a missed wakeup hangs a round or miscounts it.
 
 #include <atomic>
 #include <cstddef>
@@ -111,16 +111,20 @@ TEST(ThreadPoolStressTest, RapidConstructDestroyCycles) {
 
 TEST(ThreadPoolStressDeathTest, NestedParallelForFailsCheck) {
   // A task that calls back into its own pool would wait for a round that
-  // cannot close; the pool aborts instead of deadlocking.
+  // cannot close; the pool aborts instead of deadlocking. At size 1 the
+  // nested call comes from the caller's own index.
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(2);
-        pool.ParallelFor(1, [&pool](std::size_t) {
-          pool.ParallelFor(1, [](std::size_t) {});
-        });
-      },
-      "VOD_CHECK failed");
+  for (int threads : {1, 2}) {
+    EXPECT_DEATH(
+        {
+          ThreadPool pool(threads);
+          pool.ParallelFor(1, [&pool](std::size_t) {
+            pool.ParallelFor(1, [](std::size_t) {});
+          });
+        },
+        "VOD_CHECK failed")
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace
