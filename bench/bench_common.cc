@@ -9,7 +9,6 @@
 
 #include "bench_kit/json.h"
 #include "bench_kit/report.h"
-#include "obs/metrics_registry.h"
 #include "obs/profile.h"
 #include "obs/trace_export.h"
 #include "sim/metrics.h"
@@ -147,13 +146,14 @@ std::string SpecLabel(const exp::RunSpec& spec) {
 void WriteMetricsArtifacts(
     const std::string& path, const std::vector<exp::RunResult>& results,
     const std::map<std::size_t, std::vector<std::string>>& postmortems) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  for (const exp::RunResult& r : results) r.metrics.PublishTo(registry);
+  std::vector<const sim::SimMetrics*> runs;
+  runs.reserve(results.size());
+  for (const exp::RunResult& r : results) runs.push_back(&r.metrics);
 
   std::string out = "{\n\"runs\": ";
   out += exp::RunLogJson(results, postmortems);
   out += ",\n\"registry\": ";
-  out += registry.ToJson();
+  out += sim::SweepMetricsJson(runs);
   out += ",\n\"profile\": ";
   out += obs::Profiler::Global().ToJson();
   out += "\n}\n";

@@ -32,8 +32,9 @@ namespace vod::bench {
 ///                   line-delimited records; anything else = Chrome
 ///                   trace-event JSON loadable in Perfetto)
 ///   --metrics=FILE  write a JSON metrics dump: per-run log (seed + grid
-///                   coordinates + headline metrics), the accumulated
-///                   counter/histogram registry, and the profiling table
+///                   coordinates + counters + headline metrics), the
+///                   sweep's summed counters and histograms, and the
+///                   profiling table
 ///   --progress      live stderr progress line (completed/total, runs/s, ETA)
 ///   --faults=SPEC   fault-injection schedule for every run (grammar in
 ///                   fault/fault_spec.h, e.g.
@@ -98,9 +99,9 @@ using exp::RunDay;
 std::string SpecLabel(const exp::RunSpec& spec);
 
 /// Writes the --metrics JSON artifact: {"runs": [...], "registry": {...},
-/// "profile": [...]}. Publishes every result's SimMetrics into the global
-/// registry first, and prints the profiling table to stderr. `postmortems`
-/// (grid index -> dump paths) adds per-run postmortem pointers to the log.
+/// "profile": [...]}, the registry being sim::SweepMetricsJson over the
+/// results, and prints the profiling table to stderr. `postmortems` (grid
+/// index -> dump paths) adds per-run postmortem pointers to the log.
 void WriteMetricsArtifacts(
     const std::string& path, const std::vector<exp::RunResult>& results,
     const std::map<std::size_t, std::vector<std::string>>& postmortems = {});

@@ -320,7 +320,7 @@ void BM_RunDaySharded(bk::State& state) {
     if (!server->AddArrivals(*arrivals).ok()) return;
     exp::RunShardedToCompletion(*server, pool);
     server->Finalize();
-    bk::DoNotOptimize(server->TotalAdmitted());
+    bk::DoNotOptimize(server->Totals().admitted);
   }
 }
 

@@ -30,7 +30,9 @@ A file whose basename starts with "postmortem" and ends in ".json" is
 validated as a postmortem black-box dump instead (schema
 "vodb-postmortem-v1"): required top-level keys with correct types, ring
 tail entries shaped like trace events, and embedded config/metrics
-objects.
+objects. A dump a run captured (reason "invariant" or "hiccup") must carry
+that run's counters: `metrics.counters` is a non-empty object of
+non-negative integers that includes `sim.arrivals`.
 
 Usage: validate_trace.py <file> [<file> ...]
 Exit status: 0 when all files are valid, 1 with findings on stderr
@@ -66,7 +68,9 @@ SPAN_NAMES = {"admission_wait", "service", "degraded", "retry_burst"}
 SPAN_TID_BASE = 2000
 
 POSTMORTEM_SCHEMA = "vodb-postmortem-v1"
-POSTMORTEM_REASONS = {"invariant", "hiccup", "signal", "explicit"}
+POSTMORTEM_REASONS = {"invariant", "hiccup", "explicit"}
+# Reasons whose dumps a simulator captured, so they hold its counters.
+POSTMORTEM_RUN_REASONS = {"invariant", "hiccup"}
 
 
 class Findings:
@@ -305,6 +309,20 @@ def validate_chrome(path: str, findings: Findings) -> int:
 # ---------------------------------------------------------------------------
 
 
+def validate_counters(path: str, metrics: object,
+                      findings: Findings) -> None:
+    counters = metrics.get("counters") if isinstance(metrics, dict) else None
+    if not isinstance(counters, dict) or not counters:
+        findings.report(path, "metrics.counters missing or empty")
+        return
+    for name, value in counters.items():
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            findings.report(path, f"metrics.counters.{name} is not a "
+                                  f"non-negative integer ({value!r})")
+    if "sim.arrivals" not in counters:
+        findings.report(path, "metrics.counters has no `sim.arrivals`")
+
+
 def validate_postmortem(path: str, findings: Findings) -> int:
     with open(path, encoding="utf-8") as f:
         try:
@@ -338,6 +356,8 @@ def validate_postmortem(path: str, findings: Findings) -> int:
     for key in ("metrics", "profile"):
         if key not in doc:
             findings.report(path, f"missing key `{key}`")
+    if doc.get("reason") in POSTMORTEM_RUN_REASONS:
+        validate_counters(path, doc.get("metrics"), findings)
 
     tail_events = 0
     ring = doc.get("ring")

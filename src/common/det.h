@@ -79,23 +79,6 @@ template <class Range, class Less = std::less<>>
 void AuditOrderedOutput(const Range&, const char*, Less = Less()) {}
 #endif
 
-/// Audits a map-like container's *natural iteration order* — the order an
-/// emitter's range-for will see. Passes for std::map; fires the moment the
-/// container is swapped for a hash map (whose bucket order depends on seed,
-/// libc++ vs libstdc++, and insertion history).
-template <class Map>
-void AuditOrderedKeys(const Map& m, const char* channel) {
-#if VODB_AUDIT_ENABLED
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(m.size());
-  for (const auto& kv : m) keys.push_back(kv.first);
-  AuditOrderedOutput(keys, channel);
-#else
-  (void)m;
-  (void)channel;
-#endif
-}
-
 }  // namespace vod::det
 
 #endif  // VODB_COMMON_DET_H_

@@ -67,17 +67,10 @@ sim::SimMetrics RunDay(const DayRunConfig& cfg) {
   }
 
   // The broker prices memory analytically, so its params must match the
-  // simulator's (same recipe as MultiDiskSimulator::Create).
+  // simulator's.
   std::unique_ptr<sim::AnalyticMemoryBroker> broker;
   if (cfg.memory_capacity > Bits(0)) {
-    const int n_for_dl =
-        sc.method == core::ScheduleMethod::kGss
-            ? sc.gss_group_size
-            : core::MaxConcurrentRequests(sc.profile.transfer_rate,
-                                          sc.consumption_rate);
-    Result<core::AllocParams> params =
-        core::MakeAllocParams(sc.profile, sc.consumption_rate, sc.method,
-                              n_for_dl, sc.alpha);
+    Result<core::AllocParams> params = sim::AllocParamsFor(sc);
     VOD_CHECK(params.ok());
     broker = std::make_unique<sim::AnalyticMemoryBroker>(
         *params, sc.method, sc.scheme == sim::AllocScheme::kDynamic,

@@ -81,16 +81,10 @@ std::string RunLogJson(
         r.spec.replication,
         r.spec.config.seed, ToMilliseconds(r.wall_seconds));
     out += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        " \"arrivals\": %ld, \"admitted\": %ld, \"rejected\": %ld, "
-        "\"rejected_capacity\": %ld, \"rejected_memory\": %ld, "
-        "\"rejected_invalid\": %ld, \"deferred\": %ld, \"completed\": %ld, "
-        "\"cancelled\": %ld, \"starvations\": %ld, \"services\": %ld,",
-        m.arrivals, m.admitted, m.rejected, m.rejected_capacity,
-        m.rejected_memory, m.rejected_invalid, m.deferred_admissions,
-        m.completed, m.cancelled, m.starvation_events, m.services);
-    out += buf;
+    for (const sim::SimCounter& c : sim::kSimCounters) {
+      out += " \"" + std::string(c.name) + "\": " +
+             std::to_string(m.*c.field) + ",";
+    }
     std::snprintf(buf, sizeof(buf),
                   " \"avg_latency_s\": %.6f, \"success_prob\": %.6f, "
                   "\"peak_memory_mb\": %.3f, \"peak_concurrency\": %d",

@@ -70,10 +70,11 @@ class Runner {
 
 /// Per-run JSON log: one object per RunResult carrying the grid coordinates
 /// (method, scheme, t_log_min, alpha, replication), the derived seed, the
-/// host wall time, and the run's headline metrics (admission counts with the
-/// rejection-cause breakdown, latency, estimation success, peak memory).
-/// Joins external artifacts — trace files, registry dumps — back to grid
-/// points. Deterministic except for the wall_ms field.
+/// host wall time, every counter of sim::kSimCounters under its name and in
+/// its order, and the run's headline figures (latency, estimation success,
+/// peak memory and concurrency). Joins external artifacts — trace files,
+/// postmortem dumps — back to grid points. Deterministic except for the
+/// wall_ms field.
 std::string RunLogJson(const std::vector<RunResult>& results);
 
 /// Variant with per-run postmortem pointers: `postmortems` maps a run's

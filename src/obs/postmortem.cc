@@ -1,11 +1,9 @@
 #include "obs/postmortem.h"
 
 #include <cctype>
-#include <csignal>
 #include <cstdio>
 #include <utility>
 
-#include "obs/metrics_registry.h"
 #include "obs/profile.h"
 
 namespace vod::obs {
@@ -26,9 +24,9 @@ std::string Sanitize(const std::string& label) {
   return out.empty() ? std::string("run") : out;
 }
 
-/// Embeds a producer's own JSON text under `key`. The registry/profiler
-/// serializers emit canonical JSON already; parsing through JsonValue both
-/// validates them and re-sorts keys into the dump's canonical order.
+/// Embeds a producer's own JSON text under `key`. The profiler serializer
+/// emits canonical JSON already; parsing through JsonValue both validates
+/// it and re-sorts keys into the dump's canonical order.
 void SetParsedOrRaw(bench_kit::JsonValue* doc, const std::string& key,
                     const std::string& text) {
   auto parsed = bench_kit::JsonValue::Parse(text);
@@ -56,24 +54,6 @@ bench_kit::JsonValue EventToJson(const TraceEvent& ev) {
   return e;
 }
 
-PostmortemSink* g_signal_sink = nullptr;
-
-constexpr int kFatalSignals[] = {SIGSEGV, SIGABRT, SIGBUS, SIGFPE};
-
-extern "C" void PostmortemSignalHandler(int signum) {
-  // Restore default dispositions first so anything going wrong inside the
-  // capture terminates instead of recursing.
-  for (int s : kFatalSignals) std::signal(s, SIG_DFL);
-  PostmortemSink* sink = g_signal_sink;
-  g_signal_sink = nullptr;
-  if (sink != nullptr) {
-    char detail[32];
-    std::snprintf(detail, sizeof(detail), "signal %d", signum);
-    (void)sink->Capture(PostmortemReason::kFatalSignal, detail, Seconds(0.0));
-  }
-  std::raise(signum);
-}
-
 }  // namespace
 
 std::string_view PostmortemReasonName(PostmortemReason reason) {
@@ -82,8 +62,6 @@ std::string_view PostmortemReasonName(PostmortemReason reason) {
       return "invariant";
     case PostmortemReason::kHiccupThreshold:
       return "hiccup";
-    case PostmortemReason::kFatalSignal:
-      return "signal";
     case PostmortemReason::kExplicit:
       return "explicit";
   }
@@ -99,11 +77,9 @@ PostmortemSink::PostmortemSink(const Options& options) : options_(options) {
 
 Result<std::string> PostmortemSink::Capture(PostmortemReason reason,
                                             const std::string& detail,
-                                            Seconds sim_time) {
+                                            Seconds sim_time,
+                                            bench_kit::JsonValue counters) {
   using bench_kit::JsonValue;
-  if (sim_time.value() == 0.0 && last_time_.value() > 0.0) {
-    sim_time = last_time_;  // Signal-path dumps fall back to the last tick.
-  }
 
   JsonValue doc = JsonValue::Object();
   doc.Set("schema", JsonValue::Str("vodb-postmortem-v1"));
@@ -134,7 +110,9 @@ Result<std::string> PostmortemSink::Capture(PostmortemReason reason,
   ring.Set("tail", std::move(tail));
   doc.Set("ring", std::move(ring));
 
-  SetParsedOrRaw(&doc, "metrics", MetricsRegistry::Global().ToJson());
+  JsonValue metrics = JsonValue::Object();
+  metrics.Set("counters", std::move(counters));
+  doc.Set("metrics", std::move(metrics));
   SetParsedOrRaw(&doc, "profile", Profiler::Global().ToJson());
 
   // Distinct filename per capture: _2, _3... for repeats of a reason.
@@ -173,10 +151,9 @@ Result<std::string> PostmortemSink::Capture(PostmortemReason reason,
   return path;
 }
 
-void PostmortemSink::NoteDegradation(std::uint64_t hiccups,
-                                     std::uint64_t degraded_entries,
-                                     Seconds now) {
-  last_time_ = now;
+void PostmortemSink::NoteDegradation(
+    std::uint64_t hiccups, std::uint64_t degraded_entries, Seconds now,
+    const std::function<bench_kit::JsonValue()>& counters) {
   if (degradation_captured_) return;
   const bool hiccup_hit =
       options_.hiccup_threshold > 0 && hiccups >= options_.hiccup_threshold;
@@ -189,14 +166,8 @@ void PostmortemSink::NoteDegradation(std::uint64_t hiccups,
                 "hiccups=%llu degraded_entries=%llu",
                 static_cast<unsigned long long>(hiccups),
                 static_cast<unsigned long long>(degraded_entries));
-  (void)Capture(PostmortemReason::kHiccupThreshold, detail, now);
-}
-
-void PostmortemSink::InstallSignalHandler(PostmortemSink* sink) {
-  g_signal_sink = sink;
-  for (int s : kFatalSignals) {
-    std::signal(s, sink != nullptr ? PostmortemSignalHandler : SIG_DFL);
-  }
+  (void)Capture(PostmortemReason::kHiccupThreshold, detail, now,
+                counters ? counters() : bench_kit::JsonValue::Object());
 }
 
 }  // namespace vod::obs

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,17 +21,17 @@ namespace vod::obs {
 enum class PostmortemReason : std::uint8_t {
   kInvariantViolation = 0,  ///< InvariantAuditor capture-then-fail hook.
   kHiccupThreshold,         ///< Fault-layer degradation crossed a threshold.
-  kFatalSignal,             ///< SIGSEGV/SIGABRT/SIGBUS/SIGFPE handler.
   kExplicit,                ///< Capture() called directly.
 };
 
-/// "invariant", "hiccup", "signal", "explicit".
+/// "invariant", "hiccup", "explicit".
 std::string_view PostmortemReasonName(PostmortemReason reason);
 
 /// Flight-data-recorder sink: on trigger, atomically writes one JSON file
 /// (`postmortem_<run>_<reason>.json`) containing
 ///   - the tail of the attached EventTracer ring (the run's last moments),
-///   - MetricsRegistry + Profiler snapshots,
+///   - the counters of the run that captured it, as they stood then, and a
+///     Profiler snapshot,
 ///   - the run configuration handed in by the harness (grid coords, seed,
 ///     fault spec, git SHA) as a bench_kit canonical sorted-key JSON value,
 ///   - the trigger reason, detail string, and simulated time.
@@ -68,37 +69,30 @@ class PostmortemSink {
   /// sink itself stays independent of the heavier report machinery.
   void set_config(bench_kit::JsonValue config) { config_ = std::move(config); }
 
-  /// Takes a dump now. Returns the path written. Repeated captures get
-  /// distinct "_2", "_3"... filename suffixes instead of overwriting.
-  Result<std::string> Capture(PostmortemReason reason,
-                              const std::string& detail, Seconds sim_time);
+  /// Takes a dump now, embedding `counters` (the capturing run's, as
+  /// {"sim.<name>": value}) under "metrics". Returns the path written.
+  /// Repeated captures get distinct "_2", "_3"... filename suffixes instead
+  /// of overwriting.
+  Result<std::string> Capture(
+      PostmortemReason reason, const std::string& detail, Seconds sim_time,
+      bench_kit::JsonValue counters = bench_kit::JsonValue::Object());
 
   /// Threshold trigger, called by the simulator at fault-layer degradation
   /// counters' increment sites. Captures at most once per sink; a zero
-  /// threshold disables that comparison.
-  void NoteDegradation(std::uint64_t hiccups, std::uint64_t degraded_entries,
-                       Seconds now);
-
-  /// Latest simulated time seen by the owning simulator; stamps dumps taken
-  /// from outside the event loop (fatal-signal path).
-  void NoteTime(Seconds now) { last_time_ = now; }
+  /// threshold disables that comparison. `counters` is called only when the
+  /// dump is taken (nullptr: none).
+  void NoteDegradation(
+      std::uint64_t hiccups, std::uint64_t degraded_entries, Seconds now,
+      const std::function<bench_kit::JsonValue()>& counters);
 
   bool triggered() const { return !paths_.empty(); }
   const std::vector<std::string>& paths() const { return paths_; }
   const Options& options() const { return options_; }
 
-  /// Installs best-effort fatal-signal capture (SIGSEGV/SIGABRT/SIGBUS/
-  /// SIGFPE) writing through `sink`; pass nullptr to uninstall. The handler
-  /// is deliberately not async-signal-safe — on the way down, a probably-
-  /// good dump beats certainly-no dump — and re-raises with the default
-  /// disposition restored so exit codes and core dumps are preserved.
-  static void InstallSignalHandler(PostmortemSink* sink);
-
  private:
   Options options_;
   const EventTracer* tracer_ = nullptr;
   bench_kit::JsonValue config_;
-  Seconds last_time_;
   bool degradation_captured_ = false;
   std::vector<std::string> paths_;
 };

@@ -15,7 +15,7 @@ class RoundRobinScheduler final : public BufferScheduler {
  public:
   void Add(RequestId id, Seconds now) override;
   void Remove(RequestId id) override;
-  bool AdmitsMidPeriod() const override { return true; }
+  bool AdmitsNow() const override { return true; }
   const std::vector<RequestId>& ServiceSequence(const SchedulerContext& ctx,
                                                 Seconds now) override;
   void OnServiceComplete(RequestId id, Seconds now) override;

@@ -87,9 +87,10 @@ class BufferScheduler {
   /// Removes a departed request.
   virtual void Remove(RequestId id) = 0;
 
-  /// Whether a new request may enter service immediately (BubbleUp-style)
-  /// or must wait for the next period boundary (Sweep*).
-  virtual bool AdmitsMidPeriod() const = 0;
+  /// Whether a pending request may be admitted now: always for
+  /// Round-Robin and GSS* (BubbleUp-style), only at a period boundary for
+  /// Sweep*.
+  virtual bool AdmitsNow() const = 0;
 
   /// The upcoming service order over all registered requests that still
   /// need service, starting with the request to service next. Pure —

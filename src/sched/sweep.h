@@ -11,21 +11,18 @@ namespace vod::sched {
 /// serviced in disk-position order (minimizing total seek time), each as
 /// late as safely possible (maximizing memory sharing — the * refinement).
 /// Newly arriving requests are not serviced within the current period
-/// (AdmitsMidPeriod() == false): in the worst case a request arriving just
-/// after a period begins is serviced at the end of the *next* period, which
-/// is Eq. (3)'s (2n+1)-slot initial latency.
+/// (AdmitsNow() holds only between periods): in the worst case a request
+/// arriving just after a period begins is serviced at the end of the *next*
+/// period, which is Eq. (3)'s (2n+1)-slot initial latency.
 class SweepScheduler final : public BufferScheduler {
  public:
   void Add(RequestId id, Seconds now) override;
   void Remove(RequestId id) override;
-  bool AdmitsMidPeriod() const override { return false; }
+  /// True when the current period has finished.
+  bool AdmitsNow() const override { return roster_.empty(); }
   const std::vector<RequestId>& ServiceSequence(const SchedulerContext& ctx,
                                                 Seconds now) override;
   void OnServiceComplete(RequestId id, Seconds now) override;
-
-  /// True when the current period has finished (the simulator admits
-  /// pending requests only here).
-  bool AtPeriodBoundary() const { return roster_.empty(); }
 
   /// Number of completed service periods (for tests).
   long periods_started() const { return periods_started_; }

@@ -8,10 +8,6 @@
 
 namespace vod::sim {
 
-Bits UnlimitedMemoryBroker::Capacity() const {
-  return Bits::Infinity();
-}
-
 namespace {
 
 std::vector<Bits> BuildPriceTable(const core::AllocParams& params,

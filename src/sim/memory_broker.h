@@ -45,15 +45,6 @@ class MemoryBroker {
   virtual void AdvanceTo(Seconds now) { static_cast<void>(now); }
 };
 
-/// No memory constraint (single-disk latency experiments).
-class UnlimitedMemoryBroker final : public MemoryBroker {
- public:
-  [[nodiscard]] bool CanAdmit(int, int, int) const override { return true; }
-  void OnState(int, int, int) override {}
-  [[nodiscard]] Bits ReservedMemory() const override { return Bits(0); }
-  [[nodiscard]] Bits Capacity() const override;
-};
-
 /// Prices each disk with the scheme's analytic minimum memory requirement
 /// and admits while the total fits `capacity` (Figs. 13–14).
 ///

@@ -1,11 +1,49 @@
 #include "sim/metrics.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <map>
 #include <string>
 
-#include "obs/metrics_registry.h"
+#include "bench_kit/json.h"
+#include "common/det.h"
+#include "obs/histogram.h"
 
 namespace vod::sim {
+
+namespace {
+
+std::string FmtDouble(double v) {
+  if (std::isinf(v)) return v > 0 ? "1e308" : "-1e308";
+  if (std::isnan(v)) return "0";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+/// Appends `"title": {entries}` with one `"key": text` line per entry, in
+/// the map's order, which the audit holds to strictly increasing keys.
+template <class Map, class Text>
+void AppendSection(std::string* out, const char* title, const Map& entries,
+                   Text text) {
+  det::AuditOrderedOutput(entries, title,
+                          [](const auto& a, const auto& b) {
+                            return a.first < b.first;
+                          });
+  *out += "  \"";
+  *out += title;
+  *out += "\": {";
+  const char* sep = "\n";
+  for (const auto& [name, value] : entries) {
+    *out += sep;
+    sep = ",\n";
+    *out += "    \"" + name + "\": " + text(value);
+  }
+  *out += entries.empty() ? "}" : "\n  }";
+}
+
+}  // namespace
 
 void SimMetrics::ResolveEstimation(
     const std::vector<Seconds>& sorted_arrival_times) {
@@ -24,71 +62,70 @@ void SimMetrics::ResolveEstimation(
   }
 }
 
-void SimMetrics::PublishTo(obs::MetricsRegistry& registry,
-                           std::string_view prefix) const {
-  const std::string p = std::string(prefix) + ".";
-  const auto count = [&registry, &p](const char* name, long v) {
-    registry.counter(p + name).Increment(static_cast<std::int64_t>(v));
-  };
-  count("arrivals", arrivals);
-  count("admitted", admitted);
-  count("rejected", rejected);
-  count("rejected_capacity", rejected_capacity);
-  count("rejected_memory", rejected_memory);
-  count("rejected_invalid", rejected_invalid);
-  count("deferred_admissions", deferred_admissions);
-  count("completed", completed);
-  count("cancelled", cancelled);
-  count("starvation_events", starvation_events);
-  count("services", services);
-  count("fault.read_faults", read_faults);
-  count("fault.read_retries", read_retries);
-  count("fault.hiccups", hiccup_events);
-  count("fault.degraded_entries", degraded_entries);
-  count("fault.degraded_streams", degraded_streams);
-  count("fault.recoveries", fault_recoveries);
-  count("fault.delayed_reads", delayed_reads);
-  count("estimation_checks", estimation_checks);
-  count("estimation_successes", estimation_successes);
-
-  // Real per-allocation samples -> log-bucketed distributions.
-  obs::Histogram& buffer_mbit =
-      registry.histogram(p + "alloc.buffer_mbit", {.lo = 0.1});
-  obs::Histogram& usage_s =
-      registry.histogram(p + "alloc.usage_period_s", {.lo = 1e-3});
-  obs::Histogram& est_k =
-      registry.histogram(p + "alloc.k", {.lo = 1.0, .growth = 1.5});
-  for (const AllocationRecord& rec : allocations) {
-    buffer_mbit.Add(ToMegabits(rec.buffer_size));
-    usage_s.Add(ToSeconds(rec.usage_period));
-    est_k.Add(static_cast<double>(rec.k));
+bench_kit::JsonValue CountersJson(const SimCounters& counters) {
+  bench_kit::JsonValue json = bench_kit::JsonValue::Object();
+  for (const SimCounter& c : kSimCounters) {
+    json.Set("sim." + std::string(c.name),
+             bench_kit::JsonValue::Number(
+                 static_cast<double>(counters.*c.field)));
   }
-
-  // One sample per run: distribution across a sweep's runs.
-  registry.histogram(p + "run.initial_latency_mean_s", {.lo = 1e-3})
-      .Add(initial_latency.mean());
-  registry.histogram(p + "run.peak_memory_mb", {.lo = 1.0})
-      .Add(ToMebibytes(Bits(memory_usage.max_value())));
-  registry.histogram(p + "run.peak_concurrency", {.lo = 1.0, .growth = 1.5})
-      .Add(static_cast<double>(peak_concurrency));
-  // The buffer byte ledger (conservation property: allocated == released at
-  // the end of a drained run) — one sample per run, in gigabits so a sweep's
-  // distribution is readable at a glance.
-  registry.histogram(p + "run.buffer_gbit_allocated", {.lo = 0.1})
-      .Add(ToBits(buffer_bits_allocated) / kGiga);
-  registry.histogram(p + "run.buffer_gbit_released", {.lo = 0.1})
-      .Add(ToBits(buffer_bits_released) / kGiga);
+  return json;
 }
 
-// Lockstep guard: PublishTo must cover every SimMetrics field. Growing the
-// struct changes its size and trips this assert, forcing whoever adds a
-// field to extend PublishTo (and the registry-name test in
-// golden_metrics_test.cc) in the same change. Size is ABI-specific, so the
-// guard only arms on the configuration CI builds (libstdc++ on x86-64).
-#if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(SimMetrics) == 416,
-              "SimMetrics changed size: update PublishTo and the "
-              "sim_metrics publish-names test, then refresh this size");
-#endif
+std::string SweepMetricsJson(const std::vector<const SimMetrics*>& runs) {
+  std::map<std::string, long> counters;
+  std::map<std::string, obs::Histogram> histograms;
+  const auto histogram = [&histograms](const char* name,
+                                       const obs::Histogram::Options& options)
+      -> obs::Histogram& {
+    return histograms.try_emplace(std::string("sim.") + name, options)
+        .first->second;
+  };
+  for (const SimMetrics* m : runs) {
+    for (const SimCounter& c : kSimCounters) {
+      counters["sim." + std::string(c.name)] += m->*c.field;
+    }
+
+    // Real per-allocation samples -> log-bucketed distributions.
+    obs::Histogram& buffer_mbit = histogram("alloc.buffer_mbit", {.lo = 0.1});
+    obs::Histogram& usage_s = histogram("alloc.usage_period_s", {.lo = 1e-3});
+    obs::Histogram& est_k = histogram("alloc.k", {.lo = 1.0, .growth = 1.5});
+    for (const AllocationRecord& rec : m->allocations) {
+      buffer_mbit.Add(ToMegabits(rec.buffer_size));
+      usage_s.Add(ToSeconds(rec.usage_period));
+      est_k.Add(static_cast<double>(rec.k));
+    }
+
+    // One sample per run: distribution across a sweep's runs.
+    histogram("run.initial_latency_mean_s", {.lo = 1e-3})
+        .Add(m->initial_latency.mean());
+    histogram("run.peak_memory_mb", {.lo = 1.0})
+        .Add(ToMebibytes(Bits(m->memory_usage.max_value())));
+    histogram("run.peak_concurrency", {.lo = 1.0, .growth = 1.5})
+        .Add(static_cast<double>(m->peak_concurrency));
+    // The buffer byte ledger (conservation property: allocated == released
+    // at the end of a drained run), in gigabits so a sweep's distribution
+    // is readable at a glance.
+    histogram("run.buffer_gbit_allocated", {.lo = 0.1})
+        .Add(ToBits(m->buffer_bits_allocated) / kGiga);
+    histogram("run.buffer_gbit_released", {.lo = 0.1})
+        .Add(ToBits(m->buffer_bits_released) / kGiga);
+  }
+
+  std::string out = "{\n";
+  AppendSection(&out, "counters", counters,
+                [](long v) { return std::to_string(v); });
+  out += ",\n";
+  AppendSection(&out, "histograms", histograms, [](const obs::Histogram& h) {
+    return "{\"count\": " + std::to_string(h.count()) +
+           ", \"mean\": " + FmtDouble(h.mean()) +
+           ", \"p50\": " + FmtDouble(h.p50()) +
+           ", \"p95\": " + FmtDouble(h.p95()) +
+           ", \"p99\": " + FmtDouble(h.p99()) +
+           ", \"max\": " + FmtDouble(h.max()) + "}";
+  });
+  out += "\n}\n";
+  return out;
+}
 
 }  // namespace vod::sim

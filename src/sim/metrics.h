@@ -1,6 +1,9 @@
 #ifndef VODB_SIM_METRICS_H_
 #define VODB_SIM_METRICS_H_
 
+#include <cstddef>
+#include <iterator>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -8,9 +11,9 @@
 #include "common/types.h"
 #include "common/units.h"
 
-namespace vod::obs {
-class MetricsRegistry;
-}  // namespace vod::obs
+namespace vod::bench_kit {
+class JsonValue;
+}  // namespace vod::bench_kit
 
 namespace vod::sim {
 
@@ -25,9 +28,10 @@ struct AllocationRecord {
   Seconds usage_period;
 };
 
-/// Everything a simulation run measures. Collected per disk; MultiDisk runs
-/// merge them.
-struct SimMetrics {
+/// Every count a run keeps. Each field has one row in kSimCounters below,
+/// which names it for every emitter; a new counter is one field plus one
+/// row.
+struct SimCounters {
   // --- Requests ---
   long arrivals = 0;
   long admitted = 0;
@@ -42,20 +46,11 @@ struct SimMetrics {
   long completed = 0;
   long cancelled = 0;  ///< VCR cancellations (Sec. 1: reposition = cancel+new).
 
-  /// Initial latency (arrival -> first data in memory), per admitted
-  /// request, bucketed by the number of requests in service at the moment
-  /// the request was admitted (Fig. 11's x axis). Index 0 unused.
-  std::vector<RunningStats> initial_latency_by_n;
-  RunningStats initial_latency;  ///< All admitted requests together.
-
-  // --- Allocations / estimation (Figs. 7-8) ---
-  std::vector<AllocationRecord> allocations;
-  long estimation_checks = 0;
-  long estimation_successes = 0;
-  RunningStats estimated_k;
-
   // --- Continuity ---
   long starvation_events = 0;  ///< Buffer underflows (must be 0 normally).
+
+  // --- Disk accounting ---
+  long services = 0;
 
   // --- Fault injection & graceful degradation (all 0 without faults) ---
   long read_faults = 0;     ///< Disk reads that failed (injected EIO).
@@ -65,6 +60,75 @@ struct SimMetrics {
   long degraded_streams = 0;  ///< Distinct streams that ever degraded.
   long fault_recoveries = 0;  ///< Degraded -> Normal (successful refill).
   long delayed_reads = 0;   ///< Reads stretched by an injected latency fault.
+
+  // --- Estimation (Figs. 7-8): filled by SimMetrics::ResolveEstimation ---
+  long estimation_checks = 0;
+  long estimation_successes = 0;
+};
+
+/// One counter: the name it is published under (after a `sim.` prefix in
+/// the --metrics artifact and postmortem dumps) and its field.
+struct SimCounter {
+  std::string_view name;
+  long SimCounters::*field;
+};
+
+/// The counters in publication order: the run log lists them in this order,
+/// the --metrics artifact and postmortem dumps sorted by name.
+inline constexpr SimCounter kSimCounters[] = {
+    {"arrivals", &SimCounters::arrivals},
+    {"admitted", &SimCounters::admitted},
+    {"rejected", &SimCounters::rejected},
+    {"rejected_capacity", &SimCounters::rejected_capacity},
+    {"rejected_memory", &SimCounters::rejected_memory},
+    {"rejected_invalid", &SimCounters::rejected_invalid},
+    {"deferred_admissions", &SimCounters::deferred_admissions},
+    {"completed", &SimCounters::completed},
+    {"cancelled", &SimCounters::cancelled},
+    {"starvation_events", &SimCounters::starvation_events},
+    {"services", &SimCounters::services},
+    {"fault.read_faults", &SimCounters::read_faults},
+    {"fault.read_retries", &SimCounters::read_retries},
+    {"fault.hiccups", &SimCounters::hiccup_events},
+    {"fault.degraded_entries", &SimCounters::degraded_entries},
+    {"fault.degraded_streams", &SimCounters::degraded_streams},
+    {"fault.recoveries", &SimCounters::fault_recoveries},
+    {"fault.delayed_reads", &SimCounters::delayed_reads},
+    {"estimation_checks", &SimCounters::estimation_checks},
+    {"estimation_successes", &SimCounters::estimation_successes},
+};
+
+/// True when no field and no name has two rows.
+constexpr bool SimCountersAreDistinct() {
+  for (std::size_t i = 0; i < std::size(kSimCounters); ++i) {
+    for (std::size_t j = i + 1; j < std::size(kSimCounters); ++j) {
+      if (kSimCounters[i].field == kSimCounters[j].field ||
+          kSimCounters[i].name == kSimCounters[j].name) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// One row per field: as many rows as SimCounters holds longs, none twice.
+static_assert(std::size(kSimCounters) * sizeof(long) == sizeof(SimCounters),
+              "every SimCounters field needs one kSimCounters row");
+static_assert(SimCountersAreDistinct(),
+              "a kSimCounters field or name appears twice");
+
+/// Everything a simulation run measures. Collected per disk; MultiDisk runs
+/// merge them.
+struct SimMetrics : SimCounters {
+  /// Initial latency (arrival -> first data in memory), per admitted
+  /// request, bucketed by the number of requests in service at the moment
+  /// the request was admitted (Fig. 11's x axis). Index 0 unused.
+  std::vector<RunningStats> initial_latency_by_n;
+  RunningStats initial_latency;  ///< All admitted requests together.
+
+  // --- Allocations / estimation (Figs. 7-8) ---
+  std::vector<AllocationRecord> allocations;
+  RunningStats estimated_k;
 
   /// Buffer byte ledger for the conservation property: every bit a disk
   /// read delivers into a stream buffer is eventually tossed back by
@@ -81,7 +145,6 @@ struct SimMetrics {
 
   // --- Disk accounting ---
   Seconds disk_busy_time;
-  long services = 0;
 
   /// Resolves estimation success for all allocation records given the full
   /// sorted arrival-time log: success iff the number of arrivals in
@@ -94,18 +157,20 @@ struct SimMetrics {
                      static_cast<double>(estimation_checks)
                : 1.0;
   }
-
-  /// Publishes this run's metrics into an obs::MetricsRegistry under
-  /// `<prefix>.`: the request counters (including the rejection-cause
-  /// breakdown) accumulate into registry counters; the per-allocation
-  /// records feed log-bucketed histograms (`alloc.buffer_mbit`,
-  /// `alloc.usage_period_s`, `alloc.k`); and one sample per run lands in
-  /// the `run.*` histograms (mean initial latency, peak memory, peak
-  /// concurrency). Accumulating — publishing several runs yields grid-sweep
-  /// totals (the bench harnesses' --metrics dump).
-  void PublishTo(obs::MetricsRegistry& registry,
-                 std::string_view prefix = "sim") const;
 };
+
+/// {"sim.<name>": value, ...} for every counter: a postmortem dump's
+/// `metrics.counters`.
+bench_kit::JsonValue CountersJson(const SimCounters& counters);
+
+/// The --metrics artifact's "registry" section for a sweep's runs:
+/// {"counters": {...}, "histograms": {...}}, keys sorted. Each counter is
+/// summed over the runs as `sim.<name>`; the per-allocation records feed
+/// log-bucketed histograms (`sim.alloc.buffer_mbit`,
+/// `sim.alloc.usage_period_s`, `sim.alloc.k`), and each run adds one sample
+/// to the `sim.run.*` histograms (mean initial latency, peak memory, peak
+/// concurrency, the buffer ledger). No runs, empty sections.
+std::string SweepMetricsJson(const std::vector<const SimMetrics*>& runs);
 
 }  // namespace vod::sim
 

@@ -24,14 +24,7 @@ Result<std::unique_ptr<MultiDiskSimulator>> MultiDiskSimulator::Create(
   }
   VOD_RETURN_IF_ERROR(base.Validate());
 
-  const int n_for_dl =
-      base.method == core::ScheduleMethod::kGss
-          ? base.gss_group_size
-          : core::MaxConcurrentRequests(base.profile.transfer_rate,
-                                        base.consumption_rate);
-  Result<core::AllocParams> params =
-      core::MakeAllocParams(base.profile, base.consumption_rate, base.method,
-                            n_for_dl, base.alpha);
+  Result<core::AllocParams> params = AllocParamsFor(base);
   if (!params.ok()) return params.status();
 
   auto broker = std::make_unique<AnalyticMemoryBroker>(
@@ -152,27 +145,13 @@ int MultiDiskSimulator::PeakConcurrency() const {
   return static_cast<int>(TotalConcurrency().max_value());
 }
 
-long MultiDiskSimulator::TotalAdmitted() const {
-  long total = 0;
-  for (const auto& s : sims_) total += s->metrics().admitted;
-  return total;
-}
-
-long MultiDiskSimulator::TotalRejected() const {
-  long total = 0;
-  for (const auto& s : sims_) total += s->metrics().rejected;
-  return total;
-}
-
-long MultiDiskSimulator::TotalArrivals() const {
-  long total = 0;
-  for (const auto& s : sims_) total += s->metrics().arrivals;
-  return total;
-}
-
-long MultiDiskSimulator::TotalStarvations() const {
-  long total = 0;
-  for (const auto& s : sims_) total += s->metrics().starvation_events;
+SimCounters MultiDiskSimulator::Totals() const {
+  SimCounters total;
+  for (const auto& s : sims_) {
+    for (const SimCounter& c : kSimCounters) {
+      total.*c.field += s->metrics().*c.field;
+    }
+  }
   return total;
 }
 

@@ -72,10 +72,8 @@ class MultiDiskSimulator {
   StepTimeSeries TotalConcurrency() const;
   /// Peak of the summed concurrency.
   int PeakConcurrency() const;
-  long TotalAdmitted() const;
-  long TotalRejected() const;
-  long TotalArrivals() const;
-  long TotalStarvations() const;
+  /// Every counter summed over the disks.
+  SimCounters Totals() const;
 
  private:
   MultiDiskSimulator(std::unique_ptr<AnalyticMemoryBroker> broker,

@@ -51,22 +51,23 @@ Status SimConfig::Validate() const {
   return Status::OK();
 }
 
-Result<std::unique_ptr<VodSimulator>> VodSimulator::Create(
-    const SimConfig& config, MemoryBroker* broker) {
-  VOD_RETURN_IF_ERROR(config.Validate());
-
-  // The allocator's AllocParams use the method's conservative DL: the
-  // fully-loaded γ(Cyln/N)+θ for Sweep*, γ(Cyln/g)+θ for GSS*, and the full
-  // stroke for Round-Robin. The dynamic Sweep* table additionally varies DL
-  // with n (Table 2).
+Result<core::AllocParams> AllocParamsFor(const SimConfig& config) {
+  // The method's conservative DL: the fully-loaded γ(Cyln/N)+θ for Sweep*,
+  // γ(Cyln/g)+θ for GSS*, and the full stroke for Round-Robin.
   const int n_for_dl =
       config.method == core::ScheduleMethod::kGss
           ? config.gss_group_size
           : core::MaxConcurrentRequests(config.profile.transfer_rate,
                                         config.consumption_rate);
-  Result<core::AllocParams> params =
-      core::MakeAllocParams(config.profile, config.consumption_rate,
-                            config.method, n_for_dl, config.alpha);
+  return core::MakeAllocParams(config.profile, config.consumption_rate,
+                               config.method, n_for_dl, config.alpha);
+}
+
+Result<std::unique_ptr<VodSimulator>> VodSimulator::Create(
+    const SimConfig& config, MemoryBroker* broker) {
+  VOD_RETURN_IF_ERROR(config.Validate());
+
+  Result<core::AllocParams> params = AllocParamsFor(config);
   if (!params.ok()) return params.status();
 
   disk::VideoLayout layout(config.profile);
@@ -84,6 +85,7 @@ Result<std::unique_ptr<VodSimulator>> VodSimulator::Create(
     if (!a.ok()) return a.status();
     allocator = std::move(a.value());
   } else {
+    // The dynamic Sweep* table additionally varies DL with n (Table 2).
     core::BufferSizeTable::DlForN dl_for_n = nullptr;
     if (config.method == core::ScheduleMethod::kSweep) {
       const disk::DiskProfile profile = config.profile;
@@ -207,10 +209,9 @@ bool VodSimulator::Step() {
       MaybeScheduleService();
       break;
   }
-  // Observers: both are pure reads of post-dispatch state. Gated on
-  // attachment so unobserved runs pay one pointer compare per event.
+  // Observer: a pure read of post-dispatch state. Gated on attachment so
+  // unobserved runs pay one pointer compare per event.
   if (timeseries_ != nullptr && timeseries_->Due(now_)) SampleTimeseries();
-  if (postmortem_ != nullptr) postmortem_->NoteTime(now_);
   return true;
 }
 
@@ -243,7 +244,8 @@ void VodSimulator::set_postmortem(obs::PostmortemSink* sink) {
     auditor_.set_violation_observer([this](const InvariantViolation& v) {
       if (postmortem_ == nullptr) return;
       (void)postmortem_->Capture(obs::PostmortemReason::kInvariantViolation,
-                                 v.invariant + ": " + v.detail, v.time);
+                                 v.invariant + ": " + v.detail, v.time,
+                                 CountersJson(metrics_));
     });
   } else {
     auditor_.set_violation_observer(nullptr);
@@ -588,12 +590,9 @@ void VodSimulator::TryAdmitPending() {
   VODB_PROF_SCOPE("sim.admit");
   if (broker_ != nullptr) broker_->AdvanceTo(now_);
   while (!pending_.empty()) {
-    // Sweep* never admits mid-period: the newcomer would perturb the sweep
-    // order. Every other method admits whenever the allocator agrees.
-    if (!scheduler_->AdmitsMidPeriod()) {
-      auto* sweep = dynamic_cast<sched::SweepScheduler*>(scheduler_.get());
-      if (sweep != nullptr && !sweep->AtPeriodBoundary()) break;
-    }
+    // Sweep* admits only at a period boundary: a newcomer would perturb the
+    // sweep order. Every other method admits whenever the allocator agrees.
+    if (!scheduler_->AdmitsNow()) break;
     const RequestId id = pending_.front();
     Req& r = GetReq(id);
 
@@ -832,7 +831,8 @@ void VodSimulator::MarkDegraded(Req& r) {
   if (postmortem_ != nullptr) {
     postmortem_->NoteDegradation(
         static_cast<std::uint64_t>(metrics_.hiccup_events),
-        static_cast<std::uint64_t>(metrics_.degraded_entries), now_);
+        static_cast<std::uint64_t>(metrics_.degraded_entries), now_,
+        [this] { return CountersJson(metrics_); });
   }
 }
 
@@ -872,7 +872,8 @@ void VodSimulator::HandleServiceComplete(const SimEvent& ev) {
         if (postmortem_ != nullptr) {
           postmortem_->NoteDegradation(
               static_cast<std::uint64_t>(metrics_.hiccup_events),
-              static_cast<std::uint64_t>(metrics_.degraded_entries), now_);
+              static_cast<std::uint64_t>(metrics_.degraded_entries), now_,
+              [this] { return CountersJson(metrics_); });
         }
       } else if (in_service_retry_backoff_ > Seconds(0)) {
         // Bounded exponential backoff before the disk re-issues any I/O.

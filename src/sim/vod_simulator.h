@@ -69,6 +69,11 @@ struct SimConfig {
   Status Validate() const;
 };
 
+/// The allocation parameters a server with `config` runs on, for its
+/// allocator and its memory broker alike: GSS* sizes DL for the group
+/// size g, every other method for N = MaxConcurrentRequests.
+Result<core::AllocParams> AllocParamsFor(const SimConfig& config);
+
 /// Discrete-event simulator of one VOD disk server implementing the model
 /// of Secs. 2–3: shared-memory buffers with use-it-and-toss-it consumption,
 /// per-method service ordering, just-in-time ("as late as safely possible")
@@ -143,10 +148,10 @@ class VodSimulator : public sched::SchedulerContext {
 
   /// Attaches a postmortem sink (nullptr detaches). The simulator arms the
   /// auditor's capture-then-fail observer (dump before the violation
-  /// handler runs), forwards fault-layer degradation counters for the
-  /// sink's threshold trigger, and keeps the sink's last-seen sim time
-  /// fresh for signal-path dumps. Pure observer: the sink only ever reads
-  /// state, and only on already-exceptional paths.
+  /// handler runs) and forwards fault-layer degradation counters for the
+  /// sink's threshold trigger; both hand the sink this run's counters for
+  /// the dump. Pure observer: the sink only ever reads state, and only on
+  /// already-exceptional paths.
   void set_postmortem(obs::PostmortemSink* sink);
   obs::PostmortemSink* postmortem() const { return postmortem_; }
 

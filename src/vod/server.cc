@@ -17,13 +17,7 @@ Result<std::unique_ptr<VodServer>> VodServer::Create(const Options& options) {
     const sim::SimConfig& c = options.config;
     // The broker's price table needs a valid GSS group size up front.
     VOD_RETURN_IF_ERROR(c.Validate());
-    const int n_for_dl =
-        c.method == core::ScheduleMethod::kGss
-            ? c.gss_group_size
-            : core::MaxConcurrentRequests(c.profile.transfer_rate,
-                                          c.consumption_rate);
-    Result<core::AllocParams> params = core::MakeAllocParams(
-        c.profile, c.consumption_rate, c.method, n_for_dl, c.alpha);
+    Result<core::AllocParams> params = sim::AllocParamsFor(c);
     if (!params.ok()) return params.status();
     broker = std::make_unique<sim::AnalyticMemoryBroker>(
         *params, c.method, c.scheme == sim::AllocScheme::kDynamic,

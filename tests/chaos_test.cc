@@ -253,18 +253,6 @@ TEST(ChaosGoldenTest, ZeroFaultInjectorIsBitIdenticalToBaseline) {
 // Chaos properties (direct simulator, auditor armed)
 // ---------------------------------------------------------------------------
 
-core::AllocParams ChaosParams(const sim::SimConfig& sc) {
-  const int n_for_dl =
-      sc.method == core::ScheduleMethod::kGss
-          ? sc.gss_group_size
-          : core::MaxConcurrentRequests(sc.profile.transfer_rate,
-                                        sc.consumption_rate);
-  auto params = core::MakeAllocParams(sc.profile, sc.consumption_rate,
-                                      sc.method, n_for_dl, sc.alpha);
-  VOD_CHECK(params.ok());
-  return *params;
-}
-
 struct ChaosOutcome {
   sim::SimMetrics metrics;
   std::vector<sim::InvariantViolation> violations;
@@ -289,8 +277,10 @@ ChaosOutcome RunChaosDay(const std::string& faults, std::uint64_t fault_seed,
   fault::Injector injector(spec.value(), fault_seed);
   sc.injector = &injector;
 
+  const Result<core::AllocParams> params = sim::AllocParamsFor(sc);
+  VOD_CHECK(params.ok());
   sim::AnalyticMemoryBroker broker(
-      ChaosParams(sc), sc.method, /*use_dynamic=*/true, sc.gss_group_size,
+      *params, sc.method, /*use_dynamic=*/true, sc.gss_group_size,
       /*disk_count=*/1, Mebibytes(400));
   broker.AttachInjector(&injector);
 

@@ -1,7 +1,7 @@
 // Tests for the parallel experiment runner (src/exp): ParallelFor
 // mechanics, grid expansion/seeding, determinism of fan-out results across
-// thread counts, exception propagation out of worker tasks, and the
-// empty/single-point edge cases.
+// thread counts, exception propagation out of worker tasks, the
+// empty/single-point edge cases, and the run log's counter keys.
 
 #include <atomic>
 #include <cmath>
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_kit/json.h"
 #include "common/units.h"
 #include "exp/day_run.h"
 #include "exp/grid.h"
@@ -325,6 +326,25 @@ TEST(AggregateTest, SummaryMatchesHandComputation) {
   EXPECT_NEAR(rows[0].summary.ci95_half, 1.96, 1e-12);
   EXPECT_DOUBLE_EQ(rows[0].summary.min, 1.0);
   EXPECT_DOUBLE_EQ(rows[0].summary.max, 3.0);
+}
+
+TEST(RunLogTest, HoldsEveryCounterUnderItsTableName) {
+  // A distinct value per counter, so a swapped or dropped key shows.
+  RunResult r;
+  long value = 1;
+  for (const sim::SimCounter& c : sim::kSimCounters) {
+    r.metrics.*c.field = value++;
+  }
+  const auto log = bench_kit::JsonValue::Parse(RunLogJson({r}));
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(log->Items().size(), 1u);
+  const bench_kit::JsonValue& run = log->Items()[0];
+  value = 1;
+  for (const sim::SimCounter& c : sim::kSimCounters) {
+    const bench_kit::JsonValue* logged = run.Find(std::string(c.name));
+    ASSERT_NE(logged, nullptr) << c.name;
+    EXPECT_EQ(logged->AsNumber(), static_cast<double>(value++)) << c.name;
+  }
 }
 
 TEST(TableTest, CsvAndJsonEmission) {

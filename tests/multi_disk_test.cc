@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +12,7 @@
 #include "common/units.h"
 #include "fault/fault_spec.h"
 #include "fault/injector.h"
+#include "metrics_signature.h"
 #include "sim/rng.h"
 #include "sim/workload.h"
 
@@ -130,12 +129,10 @@ constexpr int kGssGroup = 8;
 /// The broker parameters MultiDiskSimulator::Create derives for `method`
 /// on the paper's disk (N = 79).
 core::AllocParams PaperParams(core::ScheduleMethod method) {
-  const disk::DiskProfile profile = disk::SeagateBarracuda9LP();
-  const int n_or_g =
-      method == core::ScheduleMethod::kGss
-          ? kGssGroup
-          : core::MaxConcurrentRequests(profile.transfer_rate, Mbps(1.5));
-  auto p = core::MakeAllocParams(profile, Mbps(1.5), method, n_or_g, 1);
+  SimConfig config;
+  config.method = method;
+  config.gss_group_size = kGssGroup;
+  auto p = AllocParamsFor(config);
   EXPECT_TRUE(p.ok());
   return p.value();
 }
@@ -237,13 +234,6 @@ TEST(AnalyticMemoryBrokerTest, SumsMatchClosedFormsAfterRandomStates) {
   EXPECT_FALSE(on_capacity.CanAdmit(0, states[0][0] + 1, states[0][1]));
 }
 
-TEST(UnlimitedMemoryBrokerTest, AlwaysAdmits) {
-  UnlimitedMemoryBroker broker;
-  EXPECT_TRUE(broker.CanAdmit(0, 1000, 50));
-  broker.OnState(0, 10, 3);
-  EXPECT_DOUBLE_EQ(ToBits(broker.ReservedMemory()), 0.0);
-}
-
 // --- MultiDiskSimulator ---
 
 TEST(MultiDiskTest, RunsToCompletionAcrossDisks) {
@@ -267,10 +257,10 @@ TEST(MultiDiskTest, RunsToCompletionAcrossDisks) {
   (*md)->RunToCompletion();
   (*md)->Finalize();
 
-  EXPECT_EQ((*md)->TotalArrivals(), static_cast<long>(arr->size()));
-  EXPECT_EQ((*md)->TotalAdmitted() + (*md)->TotalRejected(),
-            (*md)->TotalArrivals());
-  EXPECT_GT((*md)->TotalAdmitted(), 0);
+  const SimCounters total = (*md)->Totals();
+  EXPECT_EQ(total.arrivals, static_cast<long>(arr->size()));
+  EXPECT_EQ(total.admitted + total.rejected, total.arrivals);
+  EXPECT_GT(total.admitted, 0);
   for (int d = 0; d < 3; ++d) {
     EXPECT_EQ((*md)->sim(d).active_count(), 0);
   }
@@ -296,7 +286,7 @@ TEST(MultiDiskTest, TightMemoryForcesRejections) {
     ASSERT_TRUE((**md)->AddArrivals(*arr).ok());
     (**md)->RunToCompletion();
   }
-  EXPECT_GT((*md_small)->TotalRejected(), (*md_large)->TotalRejected());
+  EXPECT_GT((*md_small)->Totals().rejected, (*md_large)->Totals().rejected);
   EXPECT_LT((*md_small)->PeakConcurrency(), (*md_large)->PeakConcurrency());
 }
 
@@ -386,58 +376,6 @@ TEST(MultiDiskTest, DiskOutageDoesNotStallHealthyDisks) {
   EXPECT_EQ(dark.completed + dark.cancelled, dark.admitted);
 }
 
-/// FNV-1a over the raw bits of every counter, statistic, allocation record
-/// and step-series point (memory_reserved included), one line per disk:
-/// equal signatures mean bit-identical metrics.
-std::string Signature(const std::vector<const VodSimulator*>& sims) {
-  std::string out;
-  for (std::size_t d = 0; d < sims.size(); ++d) {
-    const SimMetrics& m = sims[d]->metrics();
-    std::uint64_t h = 1469598103934665603ULL;
-    long fields = 0;
-    const auto fold = [&h, &fields](double v) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &v, sizeof bits);
-      for (int byte = 0; byte < 8; ++byte) {
-        h = (h ^ ((bits >> (8 * byte)) & 0xffU)) * 1099511628211ULL;
-      }
-      ++fields;
-    };
-    for (long count :
-         {m.arrivals, m.admitted, m.rejected, m.rejected_capacity,
-          m.rejected_memory, m.rejected_invalid, m.deferred_admissions,
-          m.completed, m.cancelled, m.services, m.starvation_events,
-          m.estimation_checks, m.estimation_successes}) {
-      fold(static_cast<double>(count));
-    }
-    fold(m.initial_latency.mean());
-    fold(m.initial_latency.max());
-    fold(m.estimated_k.mean());
-    fold(ToSeconds(m.disk_busy_time));
-    fold(ToBits(m.buffer_bits_allocated));
-    fold(ToBits(m.buffer_bits_released));
-    for (const AllocationRecord& a : m.allocations) {
-      fold(ToSeconds(a.time));
-      fold(ToBits(a.buffer_size));
-      fold(a.n);
-      fold(a.k);
-      fold(ToSeconds(a.usage_period));
-    }
-    for (const StepTimeSeries* series :
-         {&m.concurrency, &m.memory_usage, &m.memory_reserved}) {
-      for (const auto& [t, v] : series->points()) {
-        fold(t);
-        fold(v);
-      }
-    }
-    char line[80];
-    std::snprintf(line, sizeof line, "disk %zu fields=%ld digest=%016llx\n",
-                  d, fields, static_cast<unsigned long long>(h));
-    out += line;
-  }
-  return out;
-}
-
 /// Runs a day serially with every disk wired straight to `broker`: the
 /// earliest pending event first, ties to the lowest disk index. Per-disk
 /// configs are derived as MultiDiskSimulator::Create derives them.
@@ -468,12 +406,12 @@ std::string RunSerialDay(const SimConfig& base, int disks,
     if (who == nullptr) break;
     who->Step();
   }
-  std::vector<const VodSimulator*> view;
+  std::vector<const SimMetrics*> view;
   for (const auto& s : sims) {
     s->Finalize();
-    view.push_back(s.get());
+    view.push_back(&s->metrics());
   }
-  return Signature(view);
+  return MetricsSignature(view);
 }
 
 TEST(MultiDiskTest, TablePricedDayMatchesClosedFormBrokerDay) {
@@ -507,15 +445,15 @@ TEST(MultiDiskTest, TablePricedDayMatchesClosedFormBrokerDay) {
   ASSERT_TRUE((*md)->AddArrivals(*arr).ok());
   (*md)->RunToCompletion();
   (*md)->Finalize();
-  std::vector<const VodSimulator*> view;
+  std::vector<const SimMetrics*> view;
   long refused_for_memory = 0;
   for (int d = 0; d < kDisks; ++d) {
-    view.push_back(&(*md)->sim(d));
+    view.push_back(&(*md)->sim(d).metrics());
     refused_for_memory += (*md)->sim(d).metrics().rejected_memory;
   }
   EXPECT_GT(refused_for_memory, 0);
-  EXPECT_GT((*md)->TotalAdmitted(), 0);
-  EXPECT_EQ(Signature(view), with_table);
+  EXPECT_GT((*md)->Totals().admitted, 0);
+  EXPECT_EQ(MetricsSignature(view), with_table);
 }
 
 TEST(MultiDiskTest, AddArrivalsIsAllOrNothingAcrossDisks) {

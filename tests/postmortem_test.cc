@@ -1,5 +1,5 @@
 // Postmortem black-box suite (obs/postmortem.h): explicit captures write
-// schema-valid JSON with the ring tail, config, and registry snapshots;
+// schema-valid JSON with the ring tail, config, counters and profile;
 // repeat captures get distinct filenames; the degradation threshold fires
 // once; the simulator wiring turns a forced invariant violation and a
 // fault-layer hiccup into dumps without perturbing the run (pure-observer
@@ -34,6 +34,20 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// The counter `name` ("sim.arrivals", ...) of a dump's metrics.counters;
+/// -1 when the dump has none by that name.
+double DumpCounter(const std::string& path, const std::string& name) {
+  const auto doc = bench_kit::JsonValue::Parse(ReadFile(path));
+  EXPECT_TRUE(doc.ok()) << path;
+  if (!doc.ok()) return -1;
+  const bench_kit::JsonValue* metrics = doc->Find("metrics");
+  const bench_kit::JsonValue* counters =
+      metrics != nullptr ? metrics->Find("counters") : nullptr;
+  const bench_kit::JsonValue* value =
+      counters != nullptr ? counters->Find(name) : nullptr;
+  return value != nullptr ? value->AsNumber() : -1;
 }
 
 /// Fresh per-test dump directory under gtest's temp root.
@@ -98,8 +112,9 @@ TEST(PostmortemSinkTest, ExplicitCaptureWritesSchemaValidJson) {
   EXPECT_LT(doc.find("\"admit\""), doc.find("\"service_start\""));
   EXPECT_NE(doc.find("\"total\": 2"), std::string::npos);
   EXPECT_NE(doc.find("\"dropped\": 0"), std::string::npos);
-  // Registry + profiler snapshots are embedded as objects, not strings.
-  EXPECT_NE(doc.find("\"metrics\": {"), std::string::npos);
+  // Counters (none: no run captured this dump) and the profiler snapshot
+  // are embedded as objects, not strings.
+  EXPECT_NE(doc.find("\"counters\": {}"), std::string::npos);
   EXPECT_NE(doc.find("\"profile\": "), std::string::npos);
 }
 
@@ -167,14 +182,14 @@ TEST(PostmortemSinkTest, DegradationThresholdFiresOnceAtTheCrossing) {
   opt.hiccup_threshold = 3;
   PostmortemSink sink(opt);
 
-  sink.NoteDegradation(1, 0, Seconds(10.0));
-  sink.NoteDegradation(2, 0, Seconds(20.0));
+  sink.NoteDegradation(1, 0, Seconds(10.0), nullptr);
+  sink.NoteDegradation(2, 0, Seconds(20.0), nullptr);
   EXPECT_FALSE(sink.triggered());
-  sink.NoteDegradation(3, 0, Seconds(30.0));
+  sink.NoteDegradation(3, 0, Seconds(30.0), nullptr);
   EXPECT_TRUE(sink.triggered());
   ASSERT_EQ(sink.paths().size(), 1u);
   // One-shot: further degradation does not dump again.
-  sink.NoteDegradation(50, 50, Seconds(40.0));
+  sink.NoteDegradation(50, 50, Seconds(40.0), nullptr);
   EXPECT_EQ(sink.paths().size(), 1u);
 
   const std::string doc = ReadFile(sink.paths()[0]);
@@ -187,7 +202,7 @@ TEST(PostmortemSinkTest, ZeroThresholdsNeverFire) {
   PostmortemSink::Options opt;
   opt.dir = DumpDir("zerothreshold");
   PostmortemSink sink(opt);  // Both thresholds default to 0 = disabled.
-  sink.NoteDegradation(1000, 1000, Seconds(10.0));
+  sink.NoteDegradation(1000, 1000, Seconds(10.0), nullptr);
   EXPECT_FALSE(sink.triggered());
 }
 
@@ -196,9 +211,9 @@ TEST(PostmortemSinkTest, DegradedEntriesThresholdIsIndependent) {
   opt.dir = DumpDir("degthreshold");
   opt.degraded_threshold = 2;
   PostmortemSink sink(opt);
-  sink.NoteDegradation(100, 1, Seconds(5.0));  // Hiccups alone: disabled.
+  sink.NoteDegradation(100, 1, Seconds(5.0), nullptr);  // Hiccups: off.
   EXPECT_FALSE(sink.triggered());
-  sink.NoteDegradation(100, 2, Seconds(6.0));
+  sink.NoteDegradation(100, 2, Seconds(6.0), nullptr);
   EXPECT_TRUE(sink.triggered());
   EXPECT_NE(ReadFile(sink.paths()[0]).find("degraded_entries=2"),
             std::string::npos);
@@ -210,12 +225,19 @@ TEST(PostmortemSinkTest, DegradedEntriesThresholdIsIndependent) {
 
 /// A forced auditor violation must produce a dump *before* the handler runs
 /// (capture-then-fail): the sink sees the violation even though the
-/// collecting handler here keeps the process alive.
+/// collecting handler here keeps the process alive, and the dump carries
+/// the counters of the run so far.
 TEST(PostmortemWiringTest, ForcedInvariantViolationCapturesDump) {
   sim::SimConfig sc;
   sc.seed = 3;
   auto simulator = sim::VodSimulator::Create(sc, nullptr);
   ASSERT_TRUE(simulator.ok());
+  std::vector<sim::ArrivalEvent> arrivals(3);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    arrivals[i].time = Seconds(static_cast<double>(i + 1));
+    arrivals[i].viewing_time = Minutes(5);
+  }
+  ASSERT_TRUE((*simulator)->AddArrivals(arrivals).ok());
 
   PostmortemSink::Options opt;
   opt.dir = DumpDir("invariant");
@@ -226,6 +248,8 @@ TEST(PostmortemWiringTest, ForcedInvariantViolationCapturesDump) {
   std::vector<sim::InvariantViolation> seen;
   (*simulator)->auditor().set_handler(
       [&seen](const sim::InvariantViolation& v) { seen.push_back(v); });
+
+  (*simulator)->RunUntil(Seconds(3.0));  // The three arrivals.
 
   // Clock regression: the one invariant a test can violate from outside.
   (*simulator)->auditor().CheckEventTime(Seconds(10.0));
@@ -238,6 +262,7 @@ TEST(PostmortemWiringTest, ForcedInvariantViolationCapturesDump) {
   EXPECT_NE(doc.find("\"reason\": \"invariant\""), std::string::npos);
   EXPECT_NE(doc.find("event-time-monotonicity"), std::string::npos);
   EXPECT_NE(doc.find("\"sim_time_s\": 5"), std::string::npos);
+  EXPECT_EQ(DumpCounter(sink.paths()[0], "sim.arrivals"), 3);
 }
 
 /// Detaching the sink also disarms the capture observer.
@@ -292,8 +317,12 @@ TEST(PostmortemWiringTest, ChaosHiccupThresholdDumpsAndStaysPureObserver) {
   const std::string doc = ReadFile(sink.paths()[0]);
   EXPECT_NE(doc.find("\"reason\": \"hiccup\""), std::string::npos);
   EXPECT_NE(doc.find("hiccups=1"), std::string::npos);
-  // ...with the run's last moments in the ring tail.
+  // ...with the run's last moments in the ring tail, and the run's
+  // counters as they stood at the crossing.
   EXPECT_NE(doc.find("\"kind\": \"hiccup\""), std::string::npos);
+  EXPECT_GT(DumpCounter(sink.paths()[0], "sim.arrivals"), 0);
+  EXPECT_EQ(DumpCounter(sink.paths()[0], "sim.fault.hiccups"),
+            static_cast<double>(opt.hiccup_threshold));
 
   // ...and changed nothing. Exact equality on every metric class.
   EXPECT_EQ(plain.arrivals, observed.arrivals);

@@ -215,12 +215,12 @@ TEST(SweepTest, NewPeriodStartsWhenRosterDrains) {
   ctx.Set(1).cylinder = 500;
   ctx.Set(2).cylinder = 100;
   for (RequestId id : {1, 2}) sw.Add(id, Seconds(0.0));
-  EXPECT_TRUE(sw.AtPeriodBoundary());  // Roster forms lazily.
+  EXPECT_TRUE(sw.AdmitsNow());  // Roster forms lazily.
   sw.ServiceSequence(ctx, Seconds(0.0));
-  EXPECT_FALSE(sw.AtPeriodBoundary());
+  EXPECT_FALSE(sw.AdmitsNow());
   sw.OnServiceComplete(2, Seconds(1.0));
   sw.OnServiceComplete(1, Seconds(2.0));
-  EXPECT_TRUE(sw.AtPeriodBoundary());
+  EXPECT_TRUE(sw.AdmitsNow());
   EXPECT_EQ(sw.periods_started(), 1);
   // New period re-sorts with fresh positions.
   ctx.Set(1).cylinder = 50;
@@ -230,7 +230,11 @@ TEST(SweepTest, NewPeriodStartsWhenRosterDrains) {
 
 TEST(SweepTest, DoesNotAdmitMidPeriod) {
   SweepScheduler sw;
-  EXPECT_FALSE(sw.AdmitsMidPeriod());
+  FakeContext ctx;
+  ctx.Set(1).cylinder = 100;
+  sw.Add(1, Seconds(0.0));
+  sw.ServiceSequence(ctx, Seconds(0.0));
+  EXPECT_FALSE(sw.AdmitsNow());
 }
 
 TEST(SweepTest, RemoveMidPeriod) {
@@ -401,7 +405,11 @@ TEST(GssTest, FinishedGroupResortsAfterRotation) {
 
 TEST(GssTest, AdmitsMidPeriod) {
   GssScheduler gss(8);
-  EXPECT_TRUE(gss.AdmitsMidPeriod());
+  FakeContext ctx;
+  ctx.Set(1).cylinder = 100;
+  gss.Add(1, Seconds(0.0));
+  gss.ServiceSequence(ctx, Seconds(0.0));
+  EXPECT_TRUE(gss.AdmitsNow());
 }
 
 }  // namespace

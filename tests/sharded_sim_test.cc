@@ -2,14 +2,11 @@
 // sharded run is a pure function of its configuration — byte-identical at
 // ANY worker count (1, 2, 8), because each epoch's parallel phase runs
 // every disk against a frozen ShardBrokerView snapshot and the merge is a
-// serial ascending-disk-order publish. The signature compared below folds
-// every per-disk counter, every exactly-accumulated double, and every
-// (time, value) point of the step series — each printed at full %.17g
-// precision — into per-disk FNV-1a digests, so one flipped bit anywhere
-// flips a digest. (Digests, not megabyte strings: a long run produces
-// millions of points, and handing two differing ~200 MB strings to
-// EXPECT_EQ sends gtest's edit-distance differ into gigabytes of DP
-// table.)
+// serial ascending-disk-order publish. The signature compared below
+// (metrics_signature.h) folds the raw bits of every per-disk counter, every
+// exactly-accumulated double, every allocation record and every (time,
+// value) point of the step series into per-disk FNV-1a digests, so one
+// flipped bit anywhere flips a digest.
 //
 // Also pinned: with memory unconstrained the admission schedule never
 // depends on sibling disks, so the sharded run must equal the serial
@@ -27,6 +24,7 @@
 #include "common/units.h"
 #include "exp/sharded.h"
 #include "exp/thread_pool.h"
+#include "metrics_signature.h"
 #include "sim/multi_disk.h"
 #include "sim/workload.h"
 
@@ -55,95 +53,18 @@ std::vector<ArrivalEvent> Workload(int disks, double arrivals,
   return *arr;
 }
 
-/// Accumulates full-precision "name=value" records into a 64-bit FNV-1a
-/// hash. Equal digests over equal field counts mean every folded double was
-/// bit-identical (up to a hash collision, which a determinism regression
-/// will not conveniently arrange).
-struct Digest {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis.
-  long fields = 0;
-
-  void Append(const char* name, double v) {
-    char buf[96];
-    const int len = std::snprintf(buf, sizeof(buf), "%s=%.17g\n", name, v);
-    for (int i = 0; i < len; ++i) {
-      h = (h ^ static_cast<unsigned char>(buf[i])) * 1099511628211ULL;
-    }
-    ++fields;
-  }
-};
-
-/// Whether the signature folds in the memory_reserved series. A frozen
-/// ShardBrokerView records sibling reservations as of epoch start, so this
-/// one series legitimately differs between a sharded run and the serial
-/// interleave — exclude it when comparing across the two run modes. It is
-/// still deterministic *within* a mode, so thread-count comparisons keep
-/// it.
-enum class ReservedSeries { kInclude, kExclude };
-
-/// Full-precision digest of everything a run produced, one line per disk.
-/// Two runs with equal signatures made bit-identical metrics.
+/// Every disk's metrics signature plus the broker's final reservation, bit
+/// for bit. Two runs with equal signatures made bit-identical metrics.
 std::string Signature(const MultiDiskSimulator& md,
                       ReservedSeries reserved = ReservedSeries::kInclude) {
-  std::string s;
+  std::vector<const SimMetrics*> disks;
   for (int d = 0; d < md.disk_count(); ++d) {
-    const SimMetrics& m = md.sim(d).metrics();
-    Digest dig;
-    dig.Append("arrivals", static_cast<double>(m.arrivals));
-    dig.Append("admitted", static_cast<double>(m.admitted));
-    dig.Append("rejected", static_cast<double>(m.rejected));
-    dig.Append("rejected_capacity",
-               static_cast<double>(m.rejected_capacity));
-    dig.Append("rejected_memory", static_cast<double>(m.rejected_memory));
-    dig.Append("rejected_invalid", static_cast<double>(m.rejected_invalid));
-    dig.Append("deferred", static_cast<double>(m.deferred_admissions));
-    dig.Append("completed", static_cast<double>(m.completed));
-    dig.Append("cancelled", static_cast<double>(m.cancelled));
-    dig.Append("services", static_cast<double>(m.services));
-    dig.Append("starvations", static_cast<double>(m.starvation_events));
-    dig.Append("est_checks", static_cast<double>(m.estimation_checks));
-    dig.Append("est_success", static_cast<double>(m.estimation_successes));
-    dig.Append("lat_count", static_cast<double>(m.initial_latency.count()));
-    dig.Append("lat_mean", m.initial_latency.mean());
-    dig.Append("lat_max", m.initial_latency.max());
-    dig.Append("k_mean", m.estimated_k.mean());
-    dig.Append("busy_s", ToSeconds(m.disk_busy_time));
-    dig.Append("bits_alloc", ToBits(m.buffer_bits_allocated));
-    dig.Append("bits_released", ToBits(m.buffer_bits_released));
-    dig.Append("allocs", static_cast<double>(m.allocations.size()));
-    for (const AllocationRecord& a : m.allocations) {
-      dig.Append("a.t", ToSeconds(a.time));
-      dig.Append("a.size", ToBits(a.buffer_size));
-      dig.Append("a.n", static_cast<double>(a.n));
-      dig.Append("a.k", static_cast<double>(a.k));
-    }
-    for (const auto& [t, v] : m.concurrency.points()) {
-      dig.Append("c.t", t);
-      dig.Append("c.v", v);
-    }
-    for (const auto& [t, v] : m.memory_usage.points()) {
-      dig.Append("m.t", t);
-      dig.Append("m.v", v);
-    }
-    if (reserved == ReservedSeries::kInclude) {
-      for (const auto& [t, v] : m.memory_reserved.points()) {
-        dig.Append("r.t", t);
-        dig.Append("r.v", v);
-      }
-    }
-    char line[96];
-    std::snprintf(line, sizeof(line), "disk %d fields=%ld digest=%016llx\n",
-                  d, dig.fields,
-                  static_cast<unsigned long long>(dig.h));
-    s += line;
+    disks.push_back(&md.sim(d).metrics());
   }
-  Digest broker;
-  broker.Append("broker_reserved", ToBits(md.broker().ReservedMemory()));
-  char line[96];
-  std::snprintf(line, sizeof(line), "broker digest=%016llx\n",
-                static_cast<unsigned long long>(broker.h));
-  s += line;
-  return s;
+  char line[64];
+  std::snprintf(line, sizeof line, "broker reserved=%a\n",
+                ToBits(md.broker().ReservedMemory()));
+  return MetricsSignature(disks, reserved) + line;
 }
 
 std::unique_ptr<MultiDiskSimulator> MakeServer(
@@ -167,8 +88,9 @@ std::string RunSharded(const SimConfig& base, int disks, Bits capacity,
   for (int d = 0; d < disks; ++d) {
     EXPECT_EQ(md->sim(d).active_count(), 0) << "disk " << d;
   }
-  EXPECT_EQ(md->TotalAdmitted() + md->TotalRejected(), md->TotalArrivals());
-  EXPECT_GT(md->TotalAdmitted(), 0);
+  const SimCounters total = md->Totals();
+  EXPECT_EQ(total.admitted + total.rejected, total.arrivals);
+  EXPECT_GT(total.admitted, 0);
   return Signature(*md, reserved);
 }
 
@@ -185,9 +107,11 @@ TEST(ShardedSimTest, BitIdenticalAtOneTwoAndEightWorkers) {
   const std::string one = RunSharded(base, 4, capacity, arrivals, 1);
   const std::string two = RunSharded(base, 4, capacity, arrivals, 2);
   const std::string eight = RunSharded(base, 4, capacity, arrivals, 8);
-  // The digest covers a real run: an idle disk folds exactly the 21 fixed
+  // The digest covers a real run: an idle disk folds exactly the fixed
   // scalars, one that saw traffic folds thousands of series points too.
-  EXPECT_EQ(one.find("fields=21 "), std::string::npos) << one;
+  EXPECT_EQ(one.find("fields=" + std::to_string(kSignatureFixedFields) + " "),
+            std::string::npos)
+      << one;
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, eight);
 }
@@ -239,8 +163,9 @@ TEST(ShardedSimTest, TightMemoryShardedRunStaysSane) {
   exp::ThreadPool pool(4);
   exp::RunShardedToCompletion(*md, pool);
   md->Finalize();
-  EXPECT_GT(md->TotalRejected(), 0);  // The budget actually bound.
-  EXPECT_GT(md->TotalAdmitted(), 0);
+  const SimCounters total = md->Totals();
+  EXPECT_GT(total.rejected, 0);  // The budget actually bound.
+  EXPECT_GT(total.admitted, 0);
   for (int d = 0; d < 2; ++d) {
     const SimMetrics& m = md->sim(d).metrics();
     // Buffer-bit conservation: everything allocated was released. The two

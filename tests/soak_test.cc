@@ -58,7 +58,6 @@ TEST(SoakTest, TenDiskDayUnderChurnKeepsEveryInvariant) {
   exp::RunShardedToCompletion(*server, pool);
   server->Finalize();
 
-  long total_services = 0;
   for (int d = 0; d < kDisks; ++d) {
     SCOPED_TRACE("disk " + std::to_string(d));
     const VodSimulator& s = server->sim(d);
@@ -81,13 +80,13 @@ TEST(SoakTest, TenDiskDayUnderChurnKeepsEveryInvariant) {
     EXPECT_GT(m.services, 0);
     // Starvation stays within the documented sub-percent residual.
     EXPECT_LE(m.starvation_events, std::max<long>(5, m.services / 100));
-    total_services += m.services;
   }
   // The run was a soak, not a smoke: the churn produced both heavy
   // admission traffic and heavy rejection traffic.
-  EXPECT_GT(server->TotalAdmitted(), 1000);
-  EXPECT_GT(server->TotalRejected(), 1000);
-  EXPECT_GT(total_services, 100000);
+  const SimCounters total = server->Totals();
+  EXPECT_GT(total.admitted, 1000);
+  EXPECT_GT(total.rejected, 1000);
+  EXPECT_GT(total.services, 100000);
   // Every reservation was returned to the shared pool.
   EXPECT_DOUBLE_EQ(ToBits(server->broker().ReservedMemory()), 0.0);
 }
