@@ -15,7 +15,8 @@
 using namespace vod;         // NOLINT(build/namespaces)
 using namespace vod::bench;  // NOLINT(build/namespaces)
 
-int main() {
+int main(int argc, char** argv) {
+  BenchOptions::Parse(argc, argv, /*accepted=*/0);  // Reads no flag.
   std::printf("# Ablation: alpha vs buffer size / memory requirement "
               "(Round-Robin, k=4)\n");
   PrintCsvHeader("alpha,n,buffer_mbit,memory_mb");

@@ -7,8 +7,9 @@
 #include <filesystem>
 #include <system_error>
 
-#include "bench_kit/json.h"
 #include "bench_kit/report.h"
+#include "common/file.h"
+#include "common/json.h"
 #include "obs/profile.h"
 #include "obs/trace_export.h"
 #include "sim/metrics.h"
@@ -32,44 +33,56 @@ Result<int> ParseCount(const char* flag, const char* text, int lo, int hi) {
 
 }  // namespace
 
-Result<BenchOptions> BenchOptions::TryParse(int argc, char** argv) {
+Result<BenchOptions> BenchOptions::TryParse(int argc, char** argv,
+                                            unsigned accepted) {
   BenchOptions opt;
   for (int i = 1; i < argc; ++i) {
+    unsigned flag = 0;  // The argument's BenchFlag group.
     if (std::strcmp(argv[i], "--full") == 0) {
+      flag = kFlagFull;
       opt.full = true;
     } else if (std::strncmp(argv[i], "--seeds=", 8) == 0) {
+      flag = kFlagSeeds;
       auto v = ParseCount("--seeds", argv[i] + 8, 1, 10000);
       if (!v.ok()) return v.status();
       opt.seeds = v.value();
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
+      flag = kFlagThreads;
       auto v = ParseCount("--threads", argv[i] + 10, 1, 4096);
       if (!v.ok()) return v.status();
       opt.threads = v.value();
     } else if (std::strcmp(argv[i], "--json") == 0) {
+      flag = kFlagJson;
       opt.json = true;
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
+      flag = kFlagObservers;
       opt.trace = argv[i] + 8;
       if (opt.trace.empty()) {
         return Status::InvalidArgument("--trace= wants a file path");
       }
     } else if (std::strcmp(argv[i], "--trace") == 0) {
+      flag = kFlagObservers;
       opt.trace = "trace.json";
     } else if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
+      flag = kFlagMetrics;
       opt.metrics = argv[i] + 10;
       if (opt.metrics.empty()) {
         return Status::InvalidArgument("--metrics= wants a file path");
       }
     } else if (std::strcmp(argv[i], "--progress") == 0) {
+      flag = kFlagProgress;
       opt.progress = true;
     } else if (std::strncmp(argv[i], "--faults=", 9) == 0) {
       // Spec-grammar validation happens where the injector is built
       // (fault/fault_spec.h); here only the flag shape is checked.
+      flag = kFlagFaults;
       opt.faults = argv[i] + 9;
       if (opt.faults.empty()) {
         return Status::InvalidArgument(
             "--faults= wants a spec (or \"none\")");
       }
     } else if (std::strncmp(argv[i], "--fault-seed=", 13) == 0) {
+      flag = kFlagFaults;
       const char* text = argv[i] + 13;
       char* end = nullptr;
       const unsigned long long v = std::strtoull(text, &end, 10);
@@ -80,20 +93,31 @@ Result<BenchOptions> BenchOptions::TryParse(int argc, char** argv) {
       }
       opt.fault_seed = v;
     } else if (std::strcmp(argv[i], "--spans") == 0) {
+      flag = kFlagObservers;
       opt.spans = true;
     } else if (std::strncmp(argv[i], "--timeseries=", 13) == 0) {
+      flag = kFlagObservers;
       opt.timeseries = argv[i] + 13;
       if (opt.timeseries.empty()) {
         return Status::InvalidArgument("--timeseries= wants a file path");
       }
     } else if (std::strncmp(argv[i], "--postmortem-dir=", 17) == 0) {
+      flag = kFlagObservers;
       opt.postmortem_dir = argv[i] + 17;
       if (opt.postmortem_dir.empty()) {
         return Status::InvalidArgument(
             "--postmortem-dir= wants a directory path");
       }
-    } else {
+    }
+    if (flag == 0) {
       return Status::InvalidArgument(std::string("unknown option \"") +
+                                     argv[i] + "\"");
+    }
+    // Accepting a flag the harness does not read would print results that
+    // silently ignore it.
+    if ((flag & accepted) == 0) {
+      return Status::InvalidArgument(std::string("this harness does not "
+                                                 "read \"") +
                                      argv[i] + "\"");
     }
   }
@@ -106,17 +130,30 @@ Result<BenchOptions> BenchOptions::TryParse(int argc, char** argv) {
   return opt;
 }
 
-BenchOptions BenchOptions::Parse(int argc, char** argv) {
-  auto opt = TryParse(argc, argv);
+BenchOptions BenchOptions::Parse(int argc, char** argv, unsigned accepted) {
+  auto opt = TryParse(argc, argv, accepted);
   if (!opt.ok()) {
-    std::fprintf(stderr,
-                 "%s: %s\n"
-                 "usage: [--full] [--seeds=K] [--threads=N] [--json]\n"
-                 "       [--trace[=FILE]] [--spans] [--metrics=FILE]\n"
-                 "       [--timeseries=FILE] [--postmortem-dir=DIR]\n"
-                 "       [--progress] [--faults=SPEC] [--fault-seed=S]\n",
-                 argc > 0 ? argv[0] : "bench",
-                 opt.status().ToString().c_str());
+    static constexpr struct {
+      unsigned flag;
+      const char* usage;
+    } kUsage[] = {
+        {kFlagFull, " [--full]"},
+        {kFlagSeeds, " [--seeds=K]"},
+        {kFlagThreads, " [--threads=N]"},
+        {kFlagJson, " [--json]"},
+        {kFlagObservers, " [--trace[=FILE]] [--spans] [--timeseries=FILE]"
+                         " [--postmortem-dir=DIR]"},
+        {kFlagMetrics, " [--metrics=FILE]"},
+        {kFlagProgress, " [--progress]"},
+        {kFlagFaults, " [--faults=SPEC] [--fault-seed=S]"},
+    };
+    std::string usage = "usage:";
+    for (const auto& u : kUsage) {
+      if ((u.flag & accepted) != 0) usage += u.usage;
+    }
+    if (accepted == 0) usage += " (no options)";
+    std::fprintf(stderr, "%s: %s\n%s\n", argc > 0 ? argv[0] : "bench",
+                 opt.status().ToString().c_str(), usage.c_str());
     std::exit(2);
   }
   return opt.value();
@@ -143,31 +180,22 @@ std::string SpecLabel(const exp::RunSpec& spec) {
   return label;
 }
 
-void WriteMetricsArtifacts(
+Status WriteMetricsArtifacts(
     const std::string& path, const std::vector<exp::RunResult>& results,
     const std::map<std::size_t, std::vector<std::string>>& postmortems) {
   std::vector<const sim::SimMetrics*> runs;
   runs.reserve(results.size());
   for (const exp::RunResult& r : results) runs.push_back(&r.metrics);
 
-  std::string out = "{\n\"runs\": ";
-  out += exp::RunLogJson(results, postmortems);
-  out += ",\n\"registry\": ";
-  out += sim::SweepMetricsJson(runs);
-  out += ",\n\"profile\": ";
-  out += obs::Profiler::Global().ToJson();
-  out += "\n}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write metrics file %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
+  JsonValue doc = JsonValue::Object();
+  doc.Set("runs", exp::RunLogJson(results, postmortems));
+  doc.Set("registry", sim::SweepMetricsJson(runs));
+  doc.Set("profile", obs::Profiler::Global().ToJson());
+  const Status st = WriteFile(path, doc.Dump());
 
   const std::string table = obs::Profiler::Global().ReportTable();
   if (!table.empty()) std::fprintf(stderr, "%s", table.c_str());
+  return st;
 }
 
 namespace {
@@ -175,8 +203,7 @@ namespace {
 /// The run configuration embedded in a postmortem dump: grid coordinates,
 /// seeds, fault spec, and provenance (git SHA via bench_kit). Everything a
 /// postmortem reader needs to replay the exact run that died.
-bench_kit::JsonValue PostmortemConfig(const exp::RunSpec& spec) {
-  using bench_kit::JsonValue;
+JsonValue PostmortemConfig(const exp::RunSpec& spec) {
   JsonValue cfg = JsonValue::Object();
   cfg.Set("label", JsonValue::Str(SpecLabel(spec)));
   cfg.Set("index", JsonValue::Number(static_cast<double>(spec.index)));
@@ -266,7 +293,13 @@ std::map<std::size_t, std::vector<std::string>> ObsSession::PostmortemPaths()
   return paths;
 }
 
-void ObsSession::Finish(const std::vector<exp::RunResult>& results) const {
+Status ObsSession::Finish(const std::vector<exp::RunResult>& results) const {
+  Status first = Status::OK();
+  const auto check = [&first](const Status& st) {
+    if (st.ok()) return;
+    std::fprintf(stderr, "artifact write failed: %s\n", st.ToString().c_str());
+    if (first.ok()) first = st;
+  };
   if (!trace_path_.empty()) {
     std::vector<obs::TraceRun> runs;
     runs.reserve(results.size());
@@ -287,10 +320,7 @@ void ObsSession::Finish(const std::vector<exp::RunResult>& results) const {
     }
     obs::TraceExportOptions topt;
     topt.spans = spans_;
-    const Status st = obs::WriteTraceFile(trace_path_, runs, topt);
-    if (!st.ok()) {
-      std::fprintf(stderr, "trace write failed: %s\n", st.ToString().c_str());
-    }
+    check(obs::WriteTraceFile(trace_path_, runs, topt));
   }
   if (!timeseries_path_.empty()) {
     std::vector<obs::TimeseriesRun> runs;
@@ -302,11 +332,7 @@ void ObsSession::Finish(const std::vector<exp::RunResult>& results) const {
       tr.recorder = recorders_[r.spec.index].get();
       runs.push_back(std::move(tr));
     }
-    const Status st = obs::WriteTimeseriesCsv(timeseries_path_, runs);
-    if (!st.ok()) {
-      std::fprintf(stderr, "timeseries write failed: %s\n",
-                   st.ToString().c_str());
-    }
+    check(obs::WriteTimeseriesCsv(timeseries_path_, runs));
   }
   const auto postmortems = PostmortemPaths();
   for (const auto& [index, paths] : postmortems) {
@@ -316,8 +342,9 @@ void ObsSession::Finish(const std::vector<exp::RunResult>& results) const {
     }
   }
   if (!metrics_path_.empty()) {
-    WriteMetricsArtifacts(metrics_path_, results, postmortems);
+    check(WriteMetricsArtifacts(metrics_path_, results, postmortems));
   }
+  return first;
 }
 
 void PrintCsvHeader(const std::string& columns) {

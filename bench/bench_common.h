@@ -19,8 +19,25 @@
 
 namespace vod::bench {
 
-/// Shared command-line handling for the figure/table harnesses.
-/// Every harness accepts:
+/// The flag groups of the shared command line (BenchOptions), one bit each.
+/// A harness passes the groups it reads to Parse, which rejects a flag of
+/// any other group.
+enum BenchFlag : unsigned {
+  kFlagFull = 1u << 0,        ///< --full
+  kFlagSeeds = 1u << 1,       ///< --seeds
+  kFlagThreads = 1u << 2,     ///< --threads
+  kFlagJson = 1u << 3,        ///< --json
+  kFlagMetrics = 1u << 4,     ///< --metrics
+  kFlagProgress = 1u << 5,    ///< --progress
+  kFlagFaults = 1u << 6,      ///< --faults, --fault-seed
+  /// --trace, --spans, --timeseries, --postmortem-dir (ObsSession).
+  kFlagObservers = 1u << 7,
+  /// Everything: the runner-based harnesses (fig07, fig08, fig11).
+  kFlagsAll = (1u << 8) - 1,
+};
+
+/// Shared command-line handling for the figure/table harnesses. The flags
+/// (each harness reads the subset it passes to Parse):
 ///   --full          paper-scale sweep (24 h days, 5 seeds, full grids)
 ///   --seeds=K       override the seed count
 ///   --threads=N     threads that run the experiment runner's sweep, the
@@ -72,15 +89,17 @@ struct BenchOptions {
   std::string timeseries;    ///< Empty = no telemetry CSV.
   std::string postmortem_dir;  ///< Empty = no black box.
 
-  /// Strict parse: rejects unknown options and malformed values
+  /// Strict parse: rejects unknown options, flags outside `accepted` (a
+  /// BenchFlag mask: the flags the harness reads) and malformed values
   /// (non-numeric or out-of-range --seeds/--threads/--fault-seed, empty
   /// --trace=/--metrics=/--timeseries=/--postmortem-dir= paths, --spans
   /// without --trace) instead of silently ignoring them.
-  static Result<BenchOptions> TryParse(int argc, char** argv);
+  static Result<BenchOptions> TryParse(int argc, char** argv,
+                                       unsigned accepted);
 
-  /// TryParse that prints the error + usage and exits(2) on failure — the
-  /// harness main() entry point.
-  static BenchOptions Parse(int argc, char** argv);
+  /// TryParse that prints the error + the accepted flags' usage and
+  /// exits(2) on failure — the harness main() entry point.
+  static BenchOptions Parse(int argc, char** argv, unsigned accepted);
 
   /// Copies the fault options into a grid base config.
   void ApplyFaultsTo(exp::DayRunConfig* cfg) const;
@@ -99,10 +118,11 @@ using exp::RunDay;
 std::string SpecLabel(const exp::RunSpec& spec);
 
 /// Writes the --metrics JSON artifact: {"runs": [...], "registry": {...},
-/// "profile": [...]}, the registry being sim::SweepMetricsJson over the
-/// results, and prints the profiling table to stderr. `postmortems` (grid
-/// index -> dump paths) adds per-run postmortem pointers to the log.
-void WriteMetricsArtifacts(
+/// "profile": [...]}, i.e. exp::RunLogJson, sim::SweepMetricsJson over the
+/// results and obs::Profiler::ToJson, and prints the profiling table to
+/// stderr. `postmortems` (grid index -> dump paths) adds per-run postmortem
+/// pointers to the log.
+Status WriteMetricsArtifacts(
     const std::string& path, const std::vector<exp::RunResult>& results,
     const std::map<std::size_t, std::vector<std::string>>& postmortems = {});
 
@@ -117,13 +137,15 @@ class ObsSession {
  public:
   ObsSession(const BenchOptions& opt, std::size_t total_runs);
 
-  /// RunDay wrapper for Runner::RunWithSpecs that attaches this session's
-  /// observers for the run's grid index.
+  /// RunDay wrapper for Runner::Run that attaches this session's observers
+  /// for the run's grid index.
   exp::Runner::RunSpecFn MakeRunFn() const;
 
   /// Writes the --trace / --timeseries / --metrics artifacts (no-ops for
-  /// unset flags) and reports any postmortem dumps on stderr.
-  void Finish(const std::vector<exp::RunResult>& results) const;
+  /// unset flags) and reports any postmortem dumps on stderr. Every failed
+  /// write is reported on stderr; the first one is returned, and the
+  /// harness exits 1 on it.
+  Status Finish(const std::vector<exp::RunResult>& results) const;
 
   /// Dump files written so far, keyed by grid index (for RunLogJson).
   std::map<std::size_t, std::vector<std::string>> PostmortemPaths() const;

@@ -16,7 +16,7 @@ using namespace vod;          // NOLINT(build/namespaces)
 using namespace vod::bench;   // NOLINT(build/namespaces)
 
 int main(int argc, char** argv) {
-  const BenchOptions opt = BenchOptions::Parse(argc, argv);
+  const BenchOptions opt = BenchOptions::Parse(argc, argv, kFlagFull);
   const int cap = 79;
   std::printf("# Fig. 6: offered concurrency over the day (cap N=%d)\n", cap);
   PrintCsvHeader("theta,hour,concurrent_requests");

@@ -35,7 +35,7 @@ std::string Fmt(const char* fmt, double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opt = BenchOptions::Parse(argc, argv);
+  const BenchOptions opt = BenchOptions::Parse(argc, argv, kFlagsAll);
   const int seeds = opt.seeds > 0 ? opt.seeds : 1;
   const std::vector<double> tlog_minutes =
       opt.full ? std::vector<double>{5, 10, 20, 30, 40, 50, 60}
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   const ObsSession obs_session(opt, grid.size());
   const exp::Runner runner({.threads = opt.threads, .progress = opt.progress});
   const std::vector<exp::RunResult> results =
-      runner.RunWithSpecs(grid, obs_session.MakeRunFn());
+      runner.Run(grid, obs_session.MakeRunFn());
   const auto k_rows = exp::AggregateReplications(
       results, seeds,
       [](const exp::RunResult& r) { return r.metrics.estimated_k.mean(); });
@@ -91,6 +91,5 @@ int main(int argc, char** argv) {
   }
   if (!opt.json) std::printf("# Fig. 7: estimation vs T_log (alpha=1)\n");
   table.Write(stdout, opt.json);
-  obs_session.Finish(results);
-  return 0;
+  return obs_session.Finish(results).ok() ? 0 : 1;
 }

@@ -33,7 +33,7 @@ std::string Fmt(const char* fmt, double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opt = BenchOptions::Parse(argc, argv);
+  const BenchOptions opt = BenchOptions::Parse(argc, argv, kFlagsAll);
   const int seeds = opt.seeds > 0 ? opt.seeds : 1;
   const std::vector<int> alphas =
       opt.full ? std::vector<int>{1, 2, 3, 4, 5} : std::vector<int>{1, 2, 4};
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   const ObsSession obs_session(opt, grid.size());
   const exp::Runner runner({.threads = opt.threads, .progress = opt.progress});
   const std::vector<exp::RunResult> results =
-      runner.RunWithSpecs(grid, obs_session.MakeRunFn());
+      runner.Run(grid, obs_session.MakeRunFn());
   const auto k_rows = exp::AggregateReplications(
       results, seeds,
       [](const exp::RunResult& r) { return r.metrics.estimated_k.mean(); });
@@ -89,6 +89,5 @@ int main(int argc, char** argv) {
     std::printf("# Fig. 8: estimation vs alpha (paper T_log per method)\n");
   }
   table.Write(stdout, opt.json);
-  obs_session.Finish(results);
-  return 0;
+  return obs_session.Finish(results).ok() ? 0 : 1;
 }

@@ -18,21 +18,27 @@ using namespace vod;         // NOLINT(build/namespaces)
 using namespace vod::bench;  // NOLINT(build/namespaces)
 
 int main(int argc, char** argv) {
+  // --spec is the one flag; the shared BenchOptions flags mean nothing here.
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--spec") == 0) {
-      const disk::DiskProfile p = disk::SeagateBarracuda9LP();
-      std::printf("# Table 3: %s\n", p.name.c_str());
-      std::printf("capacity_gb,%.2f\n", ToGibibytes(p.capacity));
-      std::printf("transfer_rate_mbps,%.0f\n", ToMbps(p.transfer_rate));
-      std::printf("rpm,%.0f\n", p.rpm);
-      std::printf("max_rotational_latency_ms,%.2f\n",
-                  ToMilliseconds(p.max_rotational_latency));
-      std::printf("max_seek_ms,%.2f\n", ToMilliseconds(p.MaxSeekTime()));
-      std::printf("cylinders,%ld\n", p.cylinders);
-      std::printf("N,%d\n",
-                  core::MaxConcurrentRequests(p.transfer_rate, Mbps(1.5)));
-      return 0;
+    if (std::strcmp(argv[i], "--spec") != 0) {
+      std::fprintf(stderr, "%s: unknown option \"%s\"\nusage: [--spec]\n",
+                   argv[0], argv[i]);
+      return 2;
     }
+  }
+  if (argc > 1) {
+    const disk::DiskProfile p = disk::SeagateBarracuda9LP();
+    std::printf("# Table 3: %s\n", p.name.c_str());
+    std::printf("capacity_gb,%.2f\n", ToGibibytes(p.capacity));
+    std::printf("transfer_rate_mbps,%.0f\n", ToMbps(p.transfer_rate));
+    std::printf("rpm,%.0f\n", p.rpm);
+    std::printf("max_rotational_latency_ms,%.2f\n",
+                ToMilliseconds(p.max_rotational_latency));
+    std::printf("max_seek_ms,%.2f\n", ToMilliseconds(p.MaxSeekTime()));
+    std::printf("cylinders,%ld\n", p.cylinders);
+    std::printf("N,%d\n",
+                core::MaxConcurrentRequests(p.transfer_rate, Mbps(1.5)));
+    return 0;
   }
 
   std::printf("# Fig. 9: buffer size (Mbit) vs n, per method\n");

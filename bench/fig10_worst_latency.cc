@@ -13,7 +13,8 @@
 using namespace vod;         // NOLINT(build/namespaces)
 using namespace vod::bench;  // NOLINT(build/namespaces)
 
-int main() {
+int main(int argc, char** argv) {
+  BenchOptions::Parse(argc, argv, /*accepted=*/0);  // Reads no flag.
   std::printf("# Fig. 10: worst initial latency (s) vs n, per method\n");
   PrintCsvHeader("method,n,static_s,dynamic_s");
   for (core::ScheduleMethod method :

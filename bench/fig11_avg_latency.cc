@@ -39,7 +39,7 @@ std::string Fmt(const char* fmt, double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opt = BenchOptions::Parse(argc, argv);
+  const BenchOptions opt = BenchOptions::Parse(argc, argv, kFlagsAll);
   const int seeds = opt.seeds > 0 ? opt.seeds : (opt.full ? 5 : 2);
   constexpr int kBucket = 8;
 
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   const ObsSession obs_session(opt, grid.size());
   const exp::Runner runner({.threads = opt.threads, .progress = opt.progress});
   const std::vector<exp::RunResult> results =
-      runner.RunWithSpecs(grid, obs_session.MakeRunFn());
+      runner.Run(grid, obs_session.MakeRunFn());
 
   exp::Table table({"method", "n_bucket", "static_s", "dynamic_s", "samples"});
   // Per method, the grid's slice is scheme-major / seed-minor — the same
@@ -105,6 +105,5 @@ int main(int argc, char** argv) {
                 "seeds)\n", seeds);
   }
   table.Write(stdout, opt.json);
-  obs_session.Finish(results);
-  return 0;
+  return obs_session.Finish(results).ok() ? 0 : 1;
 }

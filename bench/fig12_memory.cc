@@ -33,7 +33,8 @@ std::string Fmt(const char* fmt, double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opt = BenchOptions::Parse(argc, argv);
+  const BenchOptions opt = BenchOptions::Parse(
+      argc, argv, kFlagThreads | kFlagJson | kFlagMetrics);
   const std::vector<core::ScheduleMethod> methods = {
       core::ScheduleMethod::kRoundRobin, core::ScheduleMethod::kSweep,
       core::ScheduleMethod::kGss};
@@ -67,10 +68,13 @@ int main(int argc, char** argv) {
         "# Fig. 12: minimum memory requirement (MB) vs n, per method\n");
   }
   table.Write(stdout, opt.json);
-  if (!opt.trace.empty()) {
-    std::fprintf(stderr,
-                 "warning: --trace ignored (analysis-only harness)\n");
+  if (!opt.metrics.empty()) {
+    const Status st = WriteMetricsArtifacts(opt.metrics, {});
+    if (!st.ok()) {
+      std::fprintf(stderr, "artifact write failed: %s\n",
+                   st.ToString().c_str());
+      return 1;
+    }
   }
-  if (!opt.metrics.empty()) WriteMetricsArtifacts(opt.metrics, {});
   return 0;
 }

@@ -44,7 +44,7 @@ int RunCapacitySim(sim::AllocScheme scheme, double disk_theta, Bits memory,
 }
 
 int main(int argc, char** argv) {
-  const BenchOptions opt = BenchOptions::Parse(argc, argv);
+  const BenchOptions opt = BenchOptions::Parse(argc, argv, kFlagFull);
   std::vector<double> memories_gb;
   if (opt.full) {
     for (double gb = 1.0; gb <= 11.0; gb += 1.0) memories_gb.push_back(gb);

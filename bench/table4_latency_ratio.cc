@@ -19,7 +19,8 @@ using namespace vod;         // NOLINT(build/namespaces)
 using namespace vod::bench;  // NOLINT(build/namespaces)
 
 int main(int argc, char** argv) {
-  const BenchOptions opt = BenchOptions::Parse(argc, argv);
+  const BenchOptions opt =
+      BenchOptions::Parse(argc, argv, kFlagFull | kFlagSeeds);
   const int seeds = opt.seeds > 0 ? opt.seeds : (opt.full ? 5 : 2);
   const Seconds duration = opt.full ? Hours(24) : Hours(8);
   const double arrivals = opt.full ? 1200 : 400;

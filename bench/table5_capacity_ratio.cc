@@ -16,7 +16,8 @@
 using namespace vod;         // NOLINT(build/namespaces)
 using namespace vod::bench;  // NOLINT(build/namespaces)
 
-int main() {
+int main(int argc, char** argv) {
+  BenchOptions::Parse(argc, argv, /*accepted=*/0);  // Reads no flag.
   std::vector<Bits> memories;
   for (double gb = 1.0; gb <= 11.0; gb += 1.0) {
     memories.push_back(Gibibytes(gb));

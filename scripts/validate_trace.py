@@ -353,9 +353,8 @@ def validate_postmortem(path: str, findings: Findings) -> int:
     if isinstance(doc.get("sim_time_s"), (int, float)) and \
             doc["sim_time_s"] < 0:
         findings.report(path, f"negative sim_time_s {doc['sim_time_s']}")
-    for key in ("metrics", "profile"):
-        if key not in doc:
-            findings.report(path, f"missing key `{key}`")
+    if "metrics" not in doc:
+        findings.report(path, "missing key `metrics`")
     if doc.get("reason") in POSTMORTEM_RUN_REASONS:
         validate_counters(path, doc.get("metrics"), findings)
 

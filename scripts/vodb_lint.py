@@ -76,8 +76,8 @@ Structural rules (AST or token backend; scoped to src/):
       region that feeds an output channel (stream <<, printf family,
       ToJson/ToCsv, Append/write) emits hash order, which varies across
       libstdc++ versions and ASLR seeds, and breaks the byte-identical
-      golden CSV/JSON/trace contract. Iterate in sorted order instead
-      (det::SortedKeys / det::SortedItemPtrs from common/det.h).
+      golden CSV/JSON/trace contract. Iterate a std::map or sort the keys
+      instead.
 
   units-hygiene
       Dimensional-analysis hygiene for public headers under src/: a raw
@@ -1323,8 +1323,7 @@ def evaluate_structural(root: str, facts: Facts, findings: Findings) -> None:
             rel, lineno, "unordered-iteration",
             f"iteration over unordered container `{name}` feeds an output "
             "channel: hash order is nondeterministic across runs and "
-            "library versions; iterate in sorted order "
-            "(det::SortedKeys / det::SortedItemPtrs, common/det.h)")
+            "library versions; iterate a std::map or sort the keys")
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <thread>
+
+#include "common/file.h"
 
 namespace vod::bench_kit {
 
@@ -105,48 +106,6 @@ JsonValue StatsToJson(const SampleStats& s) {
   return v;
 }
 
-Result<SampleStats> StatsFromJson(const JsonValue& v, std::size_t count) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument("stats block is not an object");
-  }
-  SampleStats s;
-  s.count = count;
-  struct Field {
-    const char* name;
-    double* slot;
-  };
-  const Field fields[] = {{"min", &s.min},       {"max", &s.max},
-                          {"mean", &s.mean},     {"median", &s.median},
-                          {"stddev", &s.stddev}, {"cv", &s.cv}};
-  for (const Field& f : fields) {
-    const JsonValue* field = v.Find(f.name);
-    if (field == nullptr || field->kind() != JsonValue::Kind::kNumber) {
-      return Status::InvalidArgument(std::string("stats block missing \"") +
-                                     f.name + "\"");
-    }
-    *f.slot = field->AsNumber();
-  }
-  return s;
-}
-
-Result<std::string> RequireString(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind() != JsonValue::Kind::kString) {
-    return Status::InvalidArgument(std::string("missing string field \"") +
-                                   key + "\"");
-  }
-  return v->AsString();
-}
-
-Result<double> RequireNumber(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind() != JsonValue::Kind::kNumber) {
-    return Status::InvalidArgument(std::string("missing number field \"") +
-                                   key + "\"");
-  }
-  return v->AsNumber();
-}
-
 }  // namespace
 
 JsonValue ReportToJson(const BenchReport& report) {
@@ -182,105 +141,13 @@ JsonValue ReportToJson(const BenchReport& report) {
   return doc;
 }
 
-Result<BenchReport> ReportFromJson(const JsonValue& doc) {
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("report is not a JSON object");
-  }
-  BenchReport report;
-
-  auto schema = RequireString(doc, "schema");
-  if (!schema.ok()) return schema.status();
-  report.schema = schema.value();
-  if (report.schema != "vodb-bench-v1") {
-    return Status::InvalidArgument("unsupported schema \"" + report.schema +
-                                   "\"");
-  }
-
-  if (const JsonValue* machine = doc.Find("machine");
-      machine != nullptr && machine->is_object()) {
-    auto hostname = RequireString(*machine, "hostname");
-    if (!hostname.ok()) return hostname.status();
-    report.machine.hostname = hostname.value();
-    auto cpu = RequireString(*machine, "cpu_model");
-    if (!cpu.ok()) return cpu.status();
-    report.machine.cpu_model = cpu.value();
-    auto cores = RequireNumber(*machine, "core_count");
-    if (!cores.ok()) return cores.status();
-    report.machine.core_count = static_cast<int>(cores.value());
-    auto governor = RequireString(*machine, "governor");
-    if (!governor.ok()) return governor.status();
-    report.machine.governor = governor.value();
-  } else {
-    return Status::InvalidArgument("missing \"machine\" object");
-  }
-
-  auto sha = RequireString(doc, "git_sha");
-  if (!sha.ok()) return sha.status();
-  report.git_sha = sha.value();
-  auto build = RequireString(doc, "build_type");
-  if (!build.ok()) return build.status();
-  report.build_type = build.value();
-
-  const JsonValue* benches = doc.Find("benchmarks");
-  if (benches == nullptr || !benches->is_array()) {
-    return Status::InvalidArgument("missing \"benchmarks\" array");
-  }
-  for (const JsonValue& b : benches->Items()) {
-    BenchResult r;
-    auto name = RequireString(b, "name");
-    if (!name.ok()) return name.status();
-    r.name = name.value();
-    auto iters = RequireNumber(b, "iterations");
-    if (!iters.ok()) return iters.status();
-    r.iterations = static_cast<std::uint64_t>(iters.value());
-    auto reps = RequireNumber(b, "repetitions");
-    if (!reps.ok()) return reps.status();
-    r.repetitions = static_cast<std::size_t>(reps.value());
-
-    const JsonValue* ns = b.Find("ns_per_iter");
-    if (ns == nullptr) {
-      return Status::InvalidArgument("benchmark \"" + r.name +
-                                     "\" missing ns_per_iter");
-    }
-    auto ns_stats = StatsFromJson(*ns, r.repetitions);
-    if (!ns_stats.ok()) return ns_stats.status();
-    r.ns_per_iter = ns_stats.value();
-
-    if (const JsonValue* cycles = b.Find("cycles_per_iter");
-        cycles != nullptr) {
-      auto cycle_stats = StatsFromJson(*cycles, r.repetitions);
-      if (!cycle_stats.ok()) return cycle_stats.status();
-      r.cycles_per_iter = cycle_stats.value();
-    }
-    report.results.push_back(std::move(r));
-  }
-  return report;
-}
-
 Status WriteReport(const BenchReport& report, const std::string& path) {
   const std::string text = ReportToJson(report).Dump();
   if (path == "-") {
     std::fwrite(text.data(), 1, text.size(), stdout);
     return Status::OK();
   }
-  std::ofstream out(path);
-  if (!out) {
-    return Status::InvalidArgument("cannot open \"" + path + "\" for write");
-  }
-  out << text;
-  out.close();
-  if (!out) return Status::Internal("short write to \"" + path + "\"");
-  return Status::OK();
-}
-
-Result<BenchReport> ReadReport(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot read \"" + path + "\"");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  auto doc = JsonValue::Parse(buf.str());
-  if (!doc.ok()) return doc.status();
-  return ReportFromJson(doc.value());
+  return WriteFile(path, text);
 }
 
 std::string DefaultReportFilename(const MachineInfo& machine) {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "bench_kit/harness.h"
-#include "bench_kit/json.h"
+#include "common/json.h"
 #include "common/status.h"
 
 namespace vod::bench_kit {
@@ -42,18 +42,12 @@ struct BenchReport {
   std::vector<BenchResult> results;
 };
 
-/// Report -> canonical JSON document (stable key order, round-trippable).
+/// Report -> canonical JSON document (stable key order). Its one reader is
+/// scripts/bench_compare.py.
 JsonValue ReportToJson(const BenchReport& report);
-
-/// JSON document -> report; fails on missing or mistyped required fields
-/// (schema, benchmarks, and per-benchmark name/iterations/stats).
-Result<BenchReport> ReportFromJson(const JsonValue& doc);
 
 /// Writes `report` to `path` ("-" = stdout).
 Status WriteReport(const BenchReport& report, const std::string& path);
-
-/// Reads and validates a report file.
-Result<BenchReport> ReadReport(const std::string& path);
 
 /// "BENCH_<sanitized-hostname>.json" — the per-host artifact name.
 std::string DefaultReportFilename(const MachineInfo& machine);

@@ -66,16 +66,12 @@ sim::SimMetrics RunDay(const DayRunConfig& cfg) {
     sim::ApplyFaultBursts(*injector, &arrivals.value());
   }
 
-  // The broker prices memory analytically, so its params must match the
-  // simulator's.
   std::unique_ptr<sim::AnalyticMemoryBroker> broker;
   if (cfg.memory_capacity > Bits(0)) {
-    Result<core::AllocParams> params = sim::AllocParamsFor(sc);
-    VOD_CHECK(params.ok());
-    broker = std::make_unique<sim::AnalyticMemoryBroker>(
-        *params, sc.method, sc.scheme == sim::AllocScheme::kDynamic,
-        sc.gss_group_size, /*disk_count=*/1, cfg.memory_capacity);
-    if (injector != nullptr) broker->AttachInjector(injector.get());
+    Result<std::unique_ptr<sim::AnalyticMemoryBroker>> made =
+        sim::MakeBroker(sc, /*disk_count=*/1, cfg.memory_capacity);
+    VOD_CHECK(made.ok());
+    broker = std::move(made).value();
   }
 
   auto simulator = sim::VodSimulator::Create(sc, broker.get());

@@ -1,7 +1,6 @@
 #include "exp/runner.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -20,30 +19,20 @@ Runner::Runner(const RunnerOptions& options)
       threads_(options.threads > 0 ? options.threads
                                    : ThreadPool::DefaultThreads()) {}
 
-std::vector<RunResult> Runner::Run(const Grid& grid) const {
-  return Run(grid, [](const DayRunConfig& cfg) { return RunDay(cfg); });
-}
-
-std::vector<RunResult> Runner::Run(const Grid& grid, const RunFn& fn) const {
-  return RunWithSpecs(grid,
-                      [&fn](const RunSpec& spec) { return fn(spec.config); });
-}
-
-std::vector<RunResult> Runner::RunWithSpecs(const Grid& grid,
-                                            const RunSpecFn& fn) const {
+std::vector<RunResult> Runner::Run(const Grid& grid,
+                                   const RunSpecFn& fn) const {
   const std::vector<RunSpec> specs = grid.Expand();
   std::vector<RunResult> results(specs.size());
   if (specs.empty()) return results;
 
   std::unique_ptr<obs::ProgressReporter> progress;
   if (options_.progress) {
-    progress = std::make_unique<obs::ProgressReporter>(
-        specs.size(), options_.progress_label);
+    progress = std::make_unique<obs::ProgressReporter>(specs.size(), "runs");
   }
   const auto run_one = [&](std::size_t i) {
     const obs::Stopwatch watch;
     results[i].spec = specs[i];
-    results[i].metrics = fn(specs[i]);
+    results[i].metrics = fn ? fn(specs[i]) : RunDay(specs[i].config);
     results[i].wall_seconds = watch.Elapsed();
     if (progress != nullptr) progress->OnComplete();
   };
@@ -57,62 +46,44 @@ std::vector<RunResult> Runner::RunWithSpecs(const Grid& grid,
   return results;
 }
 
-std::string RunLogJson(const std::vector<RunResult>& results) {
-  return RunLogJson(results, {});
-}
-
-std::string RunLogJson(
+JsonValue RunLogJson(
     const std::vector<RunResult>& results,
     const std::map<std::size_t, std::vector<std::string>>& postmortems) {
-  std::string out = "[\n";
-  char buf[512];
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
+  JsonValue log = JsonValue::Array();
+  for (const RunResult& r : results) {
+    const DayRunConfig& cfg = r.spec.config;
     const sim::SimMetrics& m = r.metrics;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  {\"index\": %zu, \"method\": \"%s\", \"scheme\": \"%s\", "
-        "\"t_log_min\": %.3f, \"alpha\": %d, \"replication\": %d, "
-        "\"seed\": \"%" PRIu64 "\", \"wall_ms\": %.3f,",
-        r.spec.index,
-        std::string(core::ScheduleMethodName(r.spec.config.method)).c_str(),
-        std::string(sim::AllocSchemeName(r.spec.config.scheme)).c_str(),
-        ToMinutes(r.spec.config.t_log), r.spec.config.alpha,
-        r.spec.replication,
-        r.spec.config.seed, ToMilliseconds(r.wall_seconds));
-    out += buf;
+    JsonValue run = JsonValue::Object();
+    run.Set("index", JsonValue::Number(static_cast<double>(r.spec.index)));
+    run.Set("method", JsonValue::Str(std::string(
+                          core::ScheduleMethodName(cfg.method))));
+    run.Set("scheme",
+            JsonValue::Str(std::string(sim::AllocSchemeName(cfg.scheme))));
+    run.Set("t_log_min", JsonValue::Number(ToMinutes(cfg.t_log)));
+    run.Set("alpha", JsonValue::Number(cfg.alpha));
+    run.Set("replication", JsonValue::Number(r.spec.replication));
+    run.Set("seed", JsonValue::Str(std::to_string(cfg.seed)));
+    run.Set("wall_ms", JsonValue::Number(ToMilliseconds(r.wall_seconds)));
     for (const sim::SimCounter& c : sim::kSimCounters) {
-      out += " \"" + std::string(c.name) + "\": " +
-             std::to_string(m.*c.field) + ",";
+      run.Set(std::string(c.name),
+              JsonValue::Number(static_cast<double>(m.*c.field)));
     }
-    std::snprintf(buf, sizeof(buf),
-                  " \"avg_latency_s\": %.6f, \"success_prob\": %.6f, "
-                  "\"peak_memory_mb\": %.3f, \"peak_concurrency\": %d",
-                  m.initial_latency.mean(), m.SuccessProbability(),
-                  ToMebibytes(Bits(m.memory_usage.max_value())),
-                  m.peak_concurrency);
-    out += buf;
+    run.Set("avg_latency_s", JsonValue::Number(m.initial_latency.mean()));
+    run.Set("success_prob", JsonValue::Number(m.SuccessProbability()));
+    run.Set("peak_memory_mb",
+            JsonValue::Number(ToMebibytes(Bits(m.memory_usage.max_value()))));
+    run.Set("peak_concurrency", JsonValue::Number(m.peak_concurrency));
     const auto pm = postmortems.find(r.spec.index);
     if (pm != postmortems.end() && !pm->second.empty()) {
-      out += ", \"postmortems\": [";
-      for (std::size_t j = 0; j < pm->second.size(); ++j) {
-        if (j > 0) out += ", ";
-        out += '"';
-        // Filenames are sanitized at write time, but the directory part is
-        // caller-supplied — escape the two JSON-hostile characters.
-        for (const char c : pm->second[j]) {
-          if (c == '"' || c == '\\') out += '\\';
-          out += c;
-        }
-        out += '"';
+      JsonValue paths = JsonValue::Array();
+      for (const std::string& path : pm->second) {
+        paths.Append(JsonValue::Str(path));
       }
-      out += ']';
+      run.Set("postmortems", std::move(paths));
     }
-    out += '}';
-    out += i + 1 < results.size() ? ",\n" : "\n";
+    log.Append(std::move(run));
   }
-  out += "]\n";
-  return out;
+  return log;
 }
 
 MetricSummary MetricSummary::FromStats(const RunningStats& stats) {
@@ -172,44 +143,21 @@ std::string Table::ToCsv() const {
   return out;
 }
 
-namespace {
-
-bool IsNumeric(const std::string& s) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string Table::ToJson() const {
-  std::string out = "[\n";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    out += "  {";
+  JsonValue json = JsonValue::Array();
+  for (const auto& row : rows_) {
+    JsonValue object = JsonValue::Object();
     for (std::size_t c = 0; c < columns_.size(); ++c) {
-      if (c > 0) out += ", ";
-      AppendJsonString(out, columns_[c]);
-      out += ": ";
-      if (IsNumeric(rows_[r][c])) {
-        out += rows_[r][c];
-      } else {
-        AppendJsonString(out, rows_[r][c]);
-      }
+      const std::string& cell = row[c];
+      char* end = nullptr;
+      const double number = std::strtod(cell.c_str(), &end);
+      const bool numeric = !cell.empty() && end == cell.c_str() + cell.size();
+      object.Set(columns_[c],
+                 numeric ? JsonValue::Number(number) : JsonValue::Str(cell));
     }
-    out += r + 1 < rows_.size() ? "},\n" : "}\n";
+    json.Append(std::move(object));
   }
-  out += "]\n";
-  return out;
+  return json.Dump();
 }
 
 void Table::Write(std::FILE* out, bool json) const {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/stats.h"
 #include "exp/day_run.h"
 #include "exp/grid.h"
@@ -21,8 +22,6 @@ struct RunnerOptions {
   /// Live stderr progress line (completed/total, runs/s, ETA) while the
   /// sweep executes. Purely cosmetic: results are identical either way.
   bool progress = false;
-  /// Label shown in front of the progress counts.
-  std::string progress_label = "runs";
 };
 
 /// One completed run: the spec that produced it plus its metrics.
@@ -41,25 +40,17 @@ class Runner {
  public:
   explicit Runner(const RunnerOptions& options = {});
 
-  /// Replaces RunDay for a grid point (tests, analysis-only sweeps).
-  using RunFn = std::function<sim::SimMetrics(const DayRunConfig&)>;
-
-  /// Like RunFn but handed the whole RunSpec, so the callback can key
+  /// Runs one grid point. It is handed the whole RunSpec, so it can key
   /// per-run side channels (e.g. one EventTracer per spec.index) off the
-  /// grid coordinates instead of just the config.
+  /// grid coordinates.
   using RunSpecFn = std::function<sim::SimMetrics(const RunSpec&)>;
 
-  /// Executes every grid point through RunDay.
-  std::vector<RunResult> Run(const Grid& grid) const;
-
-  /// Executes every grid point through `fn`. An exception thrown by `fn`
-  /// propagates to the caller after all other runs finish (lowest grid
-  /// index wins when several throw).
-  std::vector<RunResult> Run(const Grid& grid, const RunFn& fn) const;
-
-  /// Spec-aware variant; the other overloads delegate here.
-  std::vector<RunResult> RunWithSpecs(const Grid& grid,
-                                      const RunSpecFn& fn) const;
+  /// Executes every grid point through `fn`; an empty `fn` runs RunDay of
+  /// the spec's config. An exception thrown by `fn` propagates to the
+  /// caller after all other runs finish (lowest grid index wins when
+  /// several throw).
+  std::vector<RunResult> Run(const Grid& grid,
+                             const RunSpecFn& fn = {}) const;
 
   int threads() const { return threads_; }
 
@@ -68,23 +59,19 @@ class Runner {
   int threads_;
 };
 
-/// Per-run JSON log: one object per RunResult carrying the grid coordinates
-/// (method, scheme, t_log_min, alpha, replication), the derived seed, the
-/// host wall time, every counter of sim::kSimCounters under its name and in
-/// its order, and the run's headline figures (latency, estimation success,
-/// peak memory and concurrency). Joins external artifacts — trace files,
-/// postmortem dumps — back to grid points. Deterministic except for the
-/// wall_ms field.
-std::string RunLogJson(const std::vector<RunResult>& results);
-
-/// Variant with per-run postmortem pointers: `postmortems` maps a run's
-/// grid index (RunSpec::index) to the postmortem dump files its black box
-/// wrote. Runs with an entry gain a "postmortems": [paths...] field, so a
-/// crash/violation dump is joinable back to the exact grid point that
-/// produced it; runs without one serialize exactly as before.
-std::string RunLogJson(
+/// Per-run JSON log: an array with one object per RunResult carrying the
+/// grid coordinates (index, method, scheme, t_log_min, alpha, replication),
+/// the derived seed (a string: a uint64 does not fit a double), the host
+/// wall time (wall_ms), every counter of sim::kSimCounters under its name,
+/// and the run's headline figures (avg_latency_s, success_prob,
+/// peak_memory_mb, peak_concurrency). `postmortems` maps a run's grid index
+/// (RunSpec::index) to the postmortem dumps its black box wrote; a run with
+/// an entry gains a "postmortems": [paths...] field, so a dump is joinable
+/// back to the grid point that produced it. Deterministic except for
+/// wall_ms.
+JsonValue RunLogJson(
     const std::vector<RunResult>& results,
-    const std::map<std::size_t, std::vector<std::string>>& postmortems);
+    const std::map<std::size_t, std::vector<std::string>>& postmortems = {});
 
 /// Mean/stddev/CI summary of one metric across a grid point's replications.
 /// ci95_half is the normal-approximation half-width 1.96·s/√n (0 for a
@@ -130,8 +117,8 @@ class Table {
 
   /// Header line + one line per row, comma-separated.
   std::string ToCsv() const;
-  /// JSON array of objects; cells that parse fully as numbers are emitted
-  /// unquoted.
+  /// JSON array with one object per row, keyed by column; a cell that
+  /// parses fully as a number is a number, any other a string.
   std::string ToJson() const;
 
   /// Writes CSV (or JSON when `json`) to `out`.

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "obs/profile.h"
+#include "common/file.h"
 
 namespace vod::obs {
 
@@ -24,21 +24,7 @@ std::string Sanitize(const std::string& label) {
   return out.empty() ? std::string("run") : out;
 }
 
-/// Embeds a producer's own JSON text under `key`. The profiler serializer
-/// emits canonical JSON already; parsing through JsonValue both validates
-/// it and re-sorts keys into the dump's canonical order.
-void SetParsedOrRaw(bench_kit::JsonValue* doc, const std::string& key,
-                    const std::string& text) {
-  auto parsed = bench_kit::JsonValue::Parse(text);
-  if (parsed.ok()) {
-    doc->Set(key, std::move(parsed).value());
-  } else {
-    doc->Set(key, bench_kit::JsonValue::Str(text));
-  }
-}
-
-bench_kit::JsonValue EventToJson(const TraceEvent& ev) {
-  using bench_kit::JsonValue;
+JsonValue EventToJson(const TraceEvent& ev) {
   JsonValue e = JsonValue::Object();
   e.Set("time_s", JsonValue::Number(ToSeconds(ev.time)));
   e.Set("kind", JsonValue::Str(std::string(TraceEventKindName(ev.kind))));
@@ -78,9 +64,7 @@ PostmortemSink::PostmortemSink(const Options& options) : options_(options) {
 Result<std::string> PostmortemSink::Capture(PostmortemReason reason,
                                             const std::string& detail,
                                             Seconds sim_time,
-                                            bench_kit::JsonValue counters) {
-  using bench_kit::JsonValue;
-
+                                            JsonValue counters) {
   JsonValue doc = JsonValue::Object();
   doc.Set("schema", JsonValue::Str("vodb-postmortem-v1"));
   doc.Set("reason",
@@ -113,7 +97,6 @@ Result<std::string> PostmortemSink::Capture(PostmortemReason reason,
   JsonValue metrics = JsonValue::Object();
   metrics.Set("counters", std::move(counters));
   doc.Set("metrics", std::move(metrics));
-  SetParsedOrRaw(&doc, "profile", Profiler::Global().ToJson());
 
   // Distinct filename per capture: _2, _3... for repeats of a reason.
   std::string base = options_.dir + "/postmortem_" +
@@ -131,17 +114,10 @@ Result<std::string> PostmortemSink::Capture(PostmortemReason reason,
   }
   path += ".json";
 
-  const std::string text = doc.Dump();
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open postmortem file: " + tmp);
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != text.size() || close_rc != 0) {
+  if (Status st = WriteFile(tmp, doc.Dump()); !st.ok()) {
     std::remove(tmp.c_str());
-    return Status::Internal("short write to postmortem file: " + tmp);
+    return st;
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
@@ -153,7 +129,7 @@ Result<std::string> PostmortemSink::Capture(PostmortemReason reason,
 
 void PostmortemSink::NoteDegradation(
     std::uint64_t hiccups, std::uint64_t degraded_entries, Seconds now,
-    const std::function<bench_kit::JsonValue()>& counters) {
+    const std::function<JsonValue()>& counters) {
   if (degradation_captured_) return;
   const bool hiccup_hit =
       options_.hiccup_threshold > 0 && hiccups >= options_.hiccup_threshold;
@@ -167,7 +143,7 @@ void PostmortemSink::NoteDegradation(
                 static_cast<unsigned long long>(hiccups),
                 static_cast<unsigned long long>(degraded_entries));
   (void)Capture(PostmortemReason::kHiccupThreshold, detail, now,
-                counters ? counters() : bench_kit::JsonValue::Object());
+                counters ? counters() : JsonValue::Object());
 }
 
 }  // namespace vod::obs

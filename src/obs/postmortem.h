@@ -8,7 +8,7 @@
 #include <string_view>
 #include <vector>
 
-#include "bench_kit/json.h"
+#include "common/json.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "obs/event_tracer.h"
@@ -30,19 +30,21 @@ std::string_view PostmortemReasonName(PostmortemReason reason);
 /// Flight-data-recorder sink: on trigger, atomically writes one JSON file
 /// (`postmortem_<run>_<reason>.json`) containing
 ///   - the tail of the attached EventTracer ring (the run's last moments),
-///   - the counters of the run that captured it, as they stood then, and a
-///     Profiler snapshot,
+///   - the counters of the run that captured it, as they stood then,
 ///   - the run configuration handed in by the harness (grid coords, seed,
-///     fault spec, git SHA) as a bench_kit canonical sorted-key JSON value,
+///     fault spec, git SHA) as a JsonValue,
 ///   - the trigger reason, detail string, and simulated time.
+/// Everything in a dump describes its own run: the process-wide profiler
+/// is left out, since in a parallel sweep it counts every run's scopes.
 /// Schema id: "vodb-postmortem-v1" (validated by scripts/validate_trace.py).
 ///
 /// The sink is a pure observer: it only ever *reads* simulator state (via
 /// the tracer snapshot) and fires on paths that are already exceptional, so
 /// attaching one cannot change any simulated quantity.
 ///
-/// Writes are atomic per file (tmp + rename), so a dump directory never
-/// holds a torn JSON even when the process dies mid-capture.
+/// Writes are atomic per file (WriteFile to a tmp path, then rename), so a
+/// dump directory never holds a torn JSON even when the process dies
+/// mid-capture.
 class PostmortemSink {
  public:
   struct Options {
@@ -67,7 +69,7 @@ class PostmortemSink {
   /// Run configuration embedded verbatim under "config". The harness fills
   /// grid coordinates, seed, fault spec, and bench_kit::GitSha() here — the
   /// sink itself stays independent of the heavier report machinery.
-  void set_config(bench_kit::JsonValue config) { config_ = std::move(config); }
+  void set_config(JsonValue config) { config_ = std::move(config); }
 
   /// Takes a dump now, embedding `counters` (the capturing run's, as
   /// {"sim.<name>": value}) under "metrics". Returns the path written.
@@ -75,7 +77,7 @@ class PostmortemSink {
   /// of overwriting.
   Result<std::string> Capture(
       PostmortemReason reason, const std::string& detail, Seconds sim_time,
-      bench_kit::JsonValue counters = bench_kit::JsonValue::Object());
+      JsonValue counters = JsonValue::Object());
 
   /// Threshold trigger, called by the simulator at fault-layer degradation
   /// counters' increment sites. Captures at most once per sink; a zero
@@ -83,7 +85,7 @@ class PostmortemSink {
   /// dump is taken (nullptr: none).
   void NoteDegradation(
       std::uint64_t hiccups, std::uint64_t degraded_entries, Seconds now,
-      const std::function<bench_kit::JsonValue()>& counters);
+      const std::function<JsonValue()>& counters);
 
   bool triggered() const { return !paths_.empty(); }
   const std::vector<std::string>& paths() const { return paths_; }
@@ -92,7 +94,7 @@ class PostmortemSink {
  private:
   Options options_;
   const EventTracer* tracer_ = nullptr;
-  bench_kit::JsonValue config_;
+  JsonValue config_;
   bool degradation_captured_ = false;
   std::vector<std::string> paths_;
 };

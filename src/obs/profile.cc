@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/check.h"
-#include "common/det.h"
 
 namespace vod::obs {
 
@@ -113,11 +112,6 @@ std::vector<ProfSiteStats> Profiler::Snapshot() const {
               if (a.total != b.total) return a.total > b.total;
               return a.name < b.name;
             });
-  det::AuditOrderedOutput(
-      out, "profiler.snapshot",
-      [](const ProfSiteStats& a, const ProfSiteStats& b) {
-        return a.total > b.total || (a.total == b.total && a.name < b.name);
-      });
   return out;
 }
 
@@ -142,21 +136,17 @@ std::string Profiler::ReportTable() const {
   return out;
 }
 
-std::string Profiler::ToJson() const {
-  const std::vector<ProfSiteStats> stats = Snapshot();
-  std::string out = "[";
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n  {\"name\": \"%s\", \"calls\": %lld, "
-                  "\"total_s\": %.6f, \"mean_us\": %.3f}",
-                  i > 0 ? "," : "", stats[i].name.c_str(),
-                  static_cast<long long>(stats[i].calls),
-                  ToSeconds(stats[i].total), ToSeconds(stats[i].mean) * 1e6);
-    out += buf;
+JsonValue Profiler::ToJson() const {
+  JsonValue json = JsonValue::Array();
+  for (const ProfSiteStats& s : Snapshot()) {
+    JsonValue site = JsonValue::Object();
+    site.Set("name", JsonValue::Str(s.name));
+    site.Set("calls", JsonValue::Number(static_cast<double>(s.calls)));
+    site.Set("total_s", JsonValue::Number(ToSeconds(s.total)));
+    site.Set("mean_us", JsonValue::Number(ToSeconds(s.mean) * 1e6));
+    json.Append(std::move(site));
   }
-  out += stats.empty() ? "]\n" : "\n]\n";
-  return out;
+  return json;
 }
 
 void Profiler::Reset() {

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/units.h"
@@ -80,8 +81,8 @@ class Profiler {
   /// bench harness' stderr epilogue. Empty string when nothing was profiled.
   std::string ReportTable() const;
 
-  /// JSON array [{"name":..., "calls":..., "total_s":..., "mean_us":...}].
-  std::string ToJson() const;
+  /// Snapshot() as a JSON array of {"name", "calls", "total_s", "mean_us"}.
+  JsonValue ToJson() const;
 
   /// Zeroes every site as Snapshot() sees it (sites stay registered): the
   /// current totals become the baseline later snapshots subtract, so no
@@ -148,17 +149,11 @@ class ProfScope {
 }  // namespace vod::obs
 
 /// VODB_PROF_SCOPE("phase.name") — time the enclosing block into the global
-/// profiler. Compiles to nothing with -DVODB_PROF=OFF. The site lookup runs
-/// once per call site (function-local static); an entry costs two
-/// obs::ProfTicks() reads and two uncontended stores, which the default-ON
-/// build accepts even in the simulator event loop (it cannot perturb any
-/// simulated quantity — the profiler only ever reads the host clock, never
-/// the simulation clock).
-#ifndef VODB_PROF_ENABLED
-#define VODB_PROF_ENABLED 0
-#endif
-
-#if VODB_PROF_ENABLED
+/// profiler. Every build compiles the scopes in. The site lookup runs once
+/// per call site (function-local static); an entry costs two
+/// obs::ProfTicks() reads and two uncontended stores, cheap enough for the
+/// simulator event loop (it cannot perturb any simulated quantity — the
+/// profiler only ever reads the host clock, never the simulation clock).
 #define VODB_PROF_CONCAT_INNER(a, b) a##b
 #define VODB_PROF_CONCAT(a, b) VODB_PROF_CONCAT_INNER(a, b)
 #define VODB_PROF_SCOPE(name)                                          \
@@ -167,8 +162,5 @@ class ProfScope {
       ::vod::obs::Profiler::Global().Register(name);                   \
   ::vod::obs::ProfScope VODB_PROF_CONCAT(vodb_prof_scope_, __LINE__)(  \
       VODB_PROF_CONCAT(vodb_prof_site_, __LINE__))
-#else
-#define VODB_PROF_SCOPE(name) static_cast<void>(0)
-#endif
 
 #endif  // VODB_OBS_PROFILE_H_

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/file.h"
+
 namespace vod::obs {
 
 TimeseriesRecorder::TimeseriesRecorder(const Options& options)
@@ -61,17 +63,7 @@ std::string TimeseriesCsv(const std::vector<TimeseriesRun>& runs) {
 
 Status WriteTimeseriesCsv(const std::string& path,
                           const std::vector<TimeseriesRun>& runs) {
-  const std::string text = TimeseriesCsv(runs);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open timeseries file: " + path);
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != text.size() || close_rc != 0) {
-    return Status::Internal("short write to timeseries file: " + path);
-  }
-  return Status::OK();
+  return WriteFile(path, TimeseriesCsv(runs));
 }
 
 }  // namespace vod::obs

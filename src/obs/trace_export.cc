@@ -6,6 +6,8 @@
 #include <map>
 #include <set>
 
+#include "common/file.h"
+#include "common/json.h"
 #include "obs/span_tracker.h"
 
 namespace vod::obs {
@@ -15,13 +17,6 @@ namespace {
 /// Chrome tid of the per-run request-lifecycle track; disk tracks use the
 /// disk id directly, so keep this clear of any realistic disk count.
 constexpr int kLifecycleTid = 1000;
-
-void AppendEscaped(std::string& out, std::string_view s) {
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
-  }
-}
 
 void AppendF(std::string& out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
@@ -67,9 +62,9 @@ std::string ToJsonl(const std::vector<TraceRun>& runs) {
   std::string out;
   for (const TraceRun& run : runs) {
     for (const TraceEvent& ev : run.events) {
-      AppendF(out, "{\"run\":%d,\"label\":\"", run.pid);
-      AppendEscaped(out, run.label);
-      AppendF(out, "\",\"time\":%.6f,\"kind\":\"", ToSeconds(ev.time));
+      AppendF(out, "{\"run\":%d,\"label\":", run.pid);
+      AppendJsonString(&out, run.label);
+      AppendF(out, ",\"time\":%.6f,\"kind\":\"", ToSeconds(ev.time));
       out += TraceEventKindName(ev.kind);
       AppendF(out, "\",\"disk\":%d,\"request\":%" PRIu64,
               static_cast<int>(ev.disk), ev.request);
@@ -78,10 +73,6 @@ std::string ToJsonl(const std::vector<TraceRun>& runs) {
     }
   }
   return out;
-}
-
-std::string ToChromeTraceJson(const std::vector<TraceRun>& runs) {
-  return ToChromeTraceJson(runs, TraceExportOptions{});
 }
 
 std::string ToChromeTraceJson(const std::vector<TraceRun>& runs,
@@ -99,9 +90,9 @@ std::string ToChromeTraceJson(const std::vector<TraceRun>& runs,
     {
       std::string m;
       AppendF(m, "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\","
-                 "\"args\":{\"name\":\"", run.pid);
-      AppendEscaped(m, run.label);
-      AppendF(m, "\",\"dropped_events\":%" PRIu64 "}}", run.dropped);
+                 "\"args\":{\"name\":", run.pid);
+      AppendJsonString(&m, run.label);
+      AppendF(m, ",\"dropped_events\":%" PRIu64 "}}", run.dropped);
       emit(m);
     }
     std::set<int> disks;
@@ -289,27 +280,12 @@ std::string ToChromeTraceJson(const std::vector<TraceRun>& runs,
 }
 
 Status WriteTraceFile(const std::string& path,
-                      const std::vector<TraceRun>& runs) {
-  return WriteTraceFile(path, runs, TraceExportOptions{});
-}
-
-Status WriteTraceFile(const std::string& path,
                       const std::vector<TraceRun>& runs,
                       const TraceExportOptions& options) {
   const bool jsonl =
       path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
-  const std::string text =
-      jsonl ? ToJsonl(runs) : ToChromeTraceJson(runs, options);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open trace file: " + path);
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != text.size() || close_rc != 0) {
-    return Status::Internal("short write to trace file: " + path);
-  }
-  return Status::OK();
+  return WriteFile(path,
+                   jsonl ? ToJsonl(runs) : ToChromeTraceJson(runs, options));
 }
 
 }  // namespace vod::obs

@@ -22,6 +22,11 @@ struct TraceRun {
   std::uint64_t dropped = 0;
 };
 
+/// Both exporters stream text instead of building a JsonValue tree: a run
+/// keeps up to 65,536 events, and a tree of them would cost far more memory
+/// than the text. Labels are quoted through AppendJsonString
+/// (common/json.h), the escaper JsonValue::Dump uses.
+///
 /// JSONL export: one JSON object per line —
 ///   {"run":0,"label":...,"time":...,"kind":"service_start","disk":0,
 ///    "request":17, <kind-specific payload>}
@@ -56,17 +61,14 @@ inline constexpr int kSpanTrackTidBase = 2000;
 /// Timestamps are simulated microseconds. Orphan events at the ring
 /// buffer's wrap point (an end whose begin was overwritten) are dropped so
 /// every emitted B has a matching E.
-std::string ToChromeTraceJson(const std::vector<TraceRun>& runs);
 std::string ToChromeTraceJson(const std::vector<TraceRun>& runs,
-                              const TraceExportOptions& options);
+                              const TraceExportOptions& options = {});
 
 /// Writes `runs` to `path`; picks JSONL when the path ends in ".jsonl",
 /// Chrome JSON otherwise (span tracks only apply to the Chrome format).
 Status WriteTraceFile(const std::string& path,
-                      const std::vector<TraceRun>& runs);
-Status WriteTraceFile(const std::string& path,
                       const std::vector<TraceRun>& runs,
-                      const TraceExportOptions& options);
+                      const TraceExportOptions& options = {});
 
 }  // namespace vod::obs
 

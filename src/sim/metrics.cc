@@ -1,49 +1,12 @@
 #include "sim/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <map>
 #include <string>
 
-#include "bench_kit/json.h"
-#include "common/det.h"
 #include "obs/histogram.h"
 
 namespace vod::sim {
-
-namespace {
-
-std::string FmtDouble(double v) {
-  if (std::isinf(v)) return v > 0 ? "1e308" : "-1e308";
-  if (std::isnan(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-/// Appends `"title": {entries}` with one `"key": text` line per entry, in
-/// the map's order, which the audit holds to strictly increasing keys.
-template <class Map, class Text>
-void AppendSection(std::string* out, const char* title, const Map& entries,
-                   Text text) {
-  det::AuditOrderedOutput(entries, title,
-                          [](const auto& a, const auto& b) {
-                            return a.first < b.first;
-                          });
-  *out += "  \"";
-  *out += title;
-  *out += "\": {";
-  const char* sep = "\n";
-  for (const auto& [name, value] : entries) {
-    *out += sep;
-    sep = ",\n";
-    *out += "    \"" + name + "\": " + text(value);
-  }
-  *out += entries.empty() ? "}" : "\n  }";
-}
-
-}  // namespace
 
 void SimMetrics::ResolveEstimation(
     const std::vector<Seconds>& sorted_arrival_times) {
@@ -62,18 +25,17 @@ void SimMetrics::ResolveEstimation(
   }
 }
 
-bench_kit::JsonValue CountersJson(const SimCounters& counters) {
-  bench_kit::JsonValue json = bench_kit::JsonValue::Object();
+JsonValue CountersJson(const SimCounters& counters) {
+  JsonValue json = JsonValue::Object();
   for (const SimCounter& c : kSimCounters) {
     json.Set("sim." + std::string(c.name),
-             bench_kit::JsonValue::Number(
-                 static_cast<double>(counters.*c.field)));
+             JsonValue::Number(static_cast<double>(counters.*c.field)));
   }
   return json;
 }
 
-std::string SweepMetricsJson(const std::vector<const SimMetrics*>& runs) {
-  std::map<std::string, long> counters;
+JsonValue SweepMetricsJson(const std::vector<const SimMetrics*>& runs) {
+  SimCounters totals;
   std::map<std::string, obs::Histogram> histograms;
   const auto histogram = [&histograms](const char* name,
                                        const obs::Histogram::Options& options)
@@ -82,9 +44,7 @@ std::string SweepMetricsJson(const std::vector<const SimMetrics*>& runs) {
         .first->second;
   };
   for (const SimMetrics* m : runs) {
-    for (const SimCounter& c : kSimCounters) {
-      counters["sim." + std::string(c.name)] += m->*c.field;
-    }
+    for (const SimCounter& c : kSimCounters) totals.*c.field += m->*c.field;
 
     // Real per-allocation samples -> log-bucketed distributions.
     obs::Histogram& buffer_mbit = histogram("alloc.buffer_mbit", {.lo = 0.1});
@@ -112,20 +72,22 @@ std::string SweepMetricsJson(const std::vector<const SimMetrics*>& runs) {
         .Add(ToBits(m->buffer_bits_released) / kGiga);
   }
 
-  std::string out = "{\n";
-  AppendSection(&out, "counters", counters,
-                [](long v) { return std::to_string(v); });
-  out += ",\n";
-  AppendSection(&out, "histograms", histograms, [](const obs::Histogram& h) {
-    return "{\"count\": " + std::to_string(h.count()) +
-           ", \"mean\": " + FmtDouble(h.mean()) +
-           ", \"p50\": " + FmtDouble(h.p50()) +
-           ", \"p95\": " + FmtDouble(h.p95()) +
-           ", \"p99\": " + FmtDouble(h.p99()) +
-           ", \"max\": " + FmtDouble(h.max()) + "}";
-  });
-  out += "\n}\n";
-  return out;
+  JsonValue json_histograms = JsonValue::Object();
+  for (const auto& [name, h] : histograms) {
+    JsonValue entry = JsonValue::Object();
+    entry.Set("count", JsonValue::Number(static_cast<double>(h.count())));
+    entry.Set("mean", JsonValue::Number(h.mean()));
+    entry.Set("p50", JsonValue::Number(h.p50()));
+    entry.Set("p95", JsonValue::Number(h.p95()));
+    entry.Set("p99", JsonValue::Number(h.p99()));
+    entry.Set("max", JsonValue::Number(h.max()));
+    json_histograms.Set(name, std::move(entry));
+  }
+  JsonValue json = JsonValue::Object();
+  json.Set("counters",
+           runs.empty() ? JsonValue::Object() : CountersJson(totals));
+  json.Set("histograms", std::move(json_histograms));
+  return json;
 }
 
 }  // namespace vod::sim

@@ -7,13 +7,10 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "common/units.h"
-
-namespace vod::bench_kit {
-class JsonValue;
-}  // namespace vod::bench_kit
 
 namespace vod::sim {
 
@@ -161,16 +158,17 @@ struct SimMetrics : SimCounters {
 
 /// {"sim.<name>": value, ...} for every counter: a postmortem dump's
 /// `metrics.counters`.
-bench_kit::JsonValue CountersJson(const SimCounters& counters);
+JsonValue CountersJson(const SimCounters& counters);
 
 /// The --metrics artifact's "registry" section for a sweep's runs:
-/// {"counters": {...}, "histograms": {...}}, keys sorted. Each counter is
-/// summed over the runs as `sim.<name>`; the per-allocation records feed
-/// log-bucketed histograms (`sim.alloc.buffer_mbit`,
-/// `sim.alloc.usage_period_s`, `sim.alloc.k`), and each run adds one sample
-/// to the `sim.run.*` histograms (mean initial latency, peak memory, peak
-/// concurrency, the buffer ledger). No runs, empty sections.
-std::string SweepMetricsJson(const std::vector<const SimMetrics*>& runs);
+/// {"counters": {...}, "histograms": {...}}. Each counter is summed over
+/// the runs as `sim.<name>`; the per-allocation records feed log-bucketed
+/// histograms (`sim.alloc.buffer_mbit`, `sim.alloc.usage_period_s`,
+/// `sim.alloc.k`), and each run adds one sample to the `sim.run.*`
+/// histograms (mean initial latency, peak memory, peak concurrency, the
+/// buffer ledger). Each histogram is {count, mean, p50, p95, p99, max}.
+/// No runs, empty sections.
+JsonValue SweepMetricsJson(const std::vector<const SimMetrics*>& runs);
 
 }  // namespace vod::sim
 

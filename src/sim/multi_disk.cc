@@ -22,17 +22,12 @@ Result<std::unique_ptr<MultiDiskSimulator>> MultiDiskSimulator::Create(
   if (memory_capacity <= Bits(0)) {
     return Status::InvalidArgument("memory capacity must be > 0");
   }
-  VOD_RETURN_IF_ERROR(base.Validate());
-
-  Result<core::AllocParams> params = AllocParamsFor(base);
-  if (!params.ok()) return params.status();
-
-  auto broker = std::make_unique<AnalyticMemoryBroker>(
-      *params, base.method, base.scheme == AllocScheme::kDynamic,
-      base.gss_group_size, disk_count, memory_capacity);
   // All disks share one injector (carried in the base config), so a
   // memory-squeeze clause shrinks the one shared pool, not per-disk copies.
-  if (base.injector != nullptr) broker->AttachInjector(base.injector);
+  Result<std::unique_ptr<AnalyticMemoryBroker>> made =
+      MakeBroker(base, disk_count, memory_capacity);
+  if (!made.ok()) return made.status();
+  std::unique_ptr<AnalyticMemoryBroker> broker = std::move(made).value();
 
   std::vector<std::unique_ptr<ShardBrokerView>> views;
   std::vector<std::unique_ptr<VodSimulator>> sims;

@@ -63,6 +63,18 @@ Result<core::AllocParams> AllocParamsFor(const SimConfig& config) {
                                config.method, n_for_dl, config.alpha);
 }
 
+Result<std::unique_ptr<AnalyticMemoryBroker>> MakeBroker(
+    const SimConfig& config, int disk_count, Bits capacity) {
+  VOD_RETURN_IF_ERROR(config.Validate());
+  Result<core::AllocParams> params = AllocParamsFor(config);
+  if (!params.ok()) return params.status();
+  auto broker = std::make_unique<AnalyticMemoryBroker>(
+      *params, config.method, config.scheme == AllocScheme::kDynamic,
+      config.gss_group_size, disk_count, capacity);
+  if (config.injector != nullptr) broker->AttachInjector(config.injector);
+  return broker;
+}
+
 Result<std::unique_ptr<VodSimulator>> VodSimulator::Create(
     const SimConfig& config, MemoryBroker* broker) {
   VOD_RETURN_IF_ERROR(config.Validate());

@@ -74,6 +74,13 @@ struct SimConfig {
 /// size g, every other method for N = MaxConcurrentRequests.
 Result<core::AllocParams> AllocParamsFor(const SimConfig& config);
 
+/// The memory broker of a server with `config`: an AnalyticMemoryBroker on
+/// AllocParamsFor(config) that prices `disk_count` disks against
+/// `capacity`, with config.injector attached when set (so a memsqueeze
+/// clause squeezes the budget). Validates `config` first.
+Result<std::unique_ptr<AnalyticMemoryBroker>> MakeBroker(
+    const SimConfig& config, int disk_count, Bits capacity);
+
 /// Discrete-event simulator of one VOD disk server implementing the model
 /// of Secs. 2–3: shared-memory buffers with use-it-and-toss-it consumption,
 /// per-method service ordering, just-in-time ("as late as safely possible")

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "core/params.h"
-
 namespace vod {
 
 VodServer::VodServer(std::unique_ptr<sim::MemoryBroker> broker,
@@ -14,14 +12,11 @@ VodServer::VodServer(std::unique_ptr<sim::MemoryBroker> broker,
 Result<std::unique_ptr<VodServer>> VodServer::Create(const Options& options) {
   std::unique_ptr<sim::MemoryBroker> broker;
   if (options.memory_capacity > Bits(0)) {
-    const sim::SimConfig& c = options.config;
-    // The broker's price table needs a valid GSS group size up front.
-    VOD_RETURN_IF_ERROR(c.Validate());
-    Result<core::AllocParams> params = sim::AllocParamsFor(c);
-    if (!params.ok()) return params.status();
-    broker = std::make_unique<sim::AnalyticMemoryBroker>(
-        *params, c.method, c.scheme == sim::AllocScheme::kDynamic,
-        c.gss_group_size, /*disk_count=*/1, options.memory_capacity);
+    Result<std::unique_ptr<sim::AnalyticMemoryBroker>> made =
+        sim::MakeBroker(options.config, /*disk_count=*/1,
+                        options.memory_capacity);
+    if (!made.ok()) return made.status();
+    broker = std::move(made).value();
   }
   Result<std::unique_ptr<sim::VodSimulator>> sim =
       sim::VodSimulator::Create(options.config, broker.get());

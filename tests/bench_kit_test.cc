@@ -1,19 +1,26 @@
 // Tests for the src/bench_kit microbenchmark harness itself: repetition
 // statistics against a deterministic fake clock, iteration auto-scaling,
 // optimization-barrier smoke checks, the harness-overhead pin the perf
-// suite's `noop` benchmark relies on, and a full BENCH_*.json schema
-// round-trip (emit -> parse -> identical re-emit).
+// suite's `noop` benchmark relies on, and the BENCH_*.json report (emit ->
+// parse -> identical re-emit). Also the artifact writers it shares with
+// every other JSON document: common/json.h's JsonValue (escaping, number
+// text, strict parsing) and common/file.h's WriteFile.
 
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_kit/barriers.h"
 #include "bench_kit/harness.h"
-#include "bench_kit/json.h"
 #include "bench_kit/report.h"
 #include "bench_kit/run_stats.h"
+#include "common/file.h"
+#include "common/json.h"
 #include "gtest/gtest.h"
 
 namespace vod::bench_kit {
@@ -238,74 +245,55 @@ BenchReport MakeReport() {
   return report;
 }
 
+/// The report's one reader is scripts/bench_compare.py; here the document
+/// is read back through JsonValue::Parse, and so is the file WriteReport
+/// writes.
 TEST(ReportTest, JsonRoundTripPreservesEveryField) {
   const BenchReport report = MakeReport();
   const std::string text = ReportToJson(report).Dump();
 
   auto doc = JsonValue::Parse(text);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  auto back = ReportFromJson(doc.value());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(doc->Find("schema")->AsString(), "vodb-bench-v1");
+  EXPECT_EQ(doc->Find("git_sha")->AsString(), "deadbeef");
+  EXPECT_EQ(doc->Find("build_type")->AsString(), "Release");
+  const JsonValue* machine = doc->Find("machine");
+  ASSERT_NE(machine, nullptr);
+  EXPECT_EQ(machine->Find("hostname")->AsString(), "host-1");
+  EXPECT_EQ(machine->Find("cpu_model")->AsString(), "Test CPU @ 2.10GHz");
+  EXPECT_EQ(machine->Find("core_count")->AsNumber(), 8);
+  EXPECT_EQ(machine->Find("governor")->AsString(), "performance");
 
-  EXPECT_EQ(back->schema, "vodb-bench-v1");
-  EXPECT_EQ(back->machine.hostname, "host-1");
-  EXPECT_EQ(back->machine.cpu_model, "Test CPU @ 2.10GHz");
-  EXPECT_EQ(back->machine.core_count, 8);
-  EXPECT_EQ(back->machine.governor, "performance");
-  EXPECT_EQ(back->git_sha, "deadbeef");
-  EXPECT_EQ(back->build_type, "Release");
-  ASSERT_EQ(back->results.size(), 2u);
+  const JsonValue* benches = doc->Find("benchmarks");
+  ASSERT_NE(benches, nullptr);
+  ASSERT_EQ(benches->Items().size(), 2u);
+  const JsonValue& a = benches->Items()[0];
+  EXPECT_EQ(a.Find("name")->AsString(), "table_lookup");
+  EXPECT_EQ(a.Find("iterations")->AsNumber(), 1 << 20);
+  EXPECT_EQ(a.Find("repetitions")->AsNumber(), 5);
+  const SampleStats& ns = report.results[0].ns_per_iter;
+  const JsonValue* a_ns = a.Find("ns_per_iter");
+  ASSERT_NE(a_ns, nullptr);
+  EXPECT_EQ(a_ns->Find("min")->AsNumber(), ns.min);
+  EXPECT_EQ(a_ns->Find("max")->AsNumber(), ns.max);
+  EXPECT_EQ(a_ns->Find("mean")->AsNumber(), ns.mean);
+  EXPECT_EQ(a_ns->Find("median")->AsNumber(), 6.75);
+  EXPECT_EQ(a_ns->Find("stddev")->AsNumber(), ns.stddev);
+  EXPECT_EQ(a_ns->Find("cv")->AsNumber(), ns.cv);
+  EXPECT_EQ(a.Find("cycles_per_iter")->Find("median")->AsNumber(), 14);
+  // No cycle stats: field omitted.
+  EXPECT_EQ(benches->Items()[1].Find("cycles_per_iter"), nullptr);
 
-  const BenchResult& a = back->results[0];
-  EXPECT_EQ(a.name, "table_lookup");
-  EXPECT_EQ(a.iterations, 1u << 20);
-  EXPECT_EQ(a.repetitions, 5u);
-  EXPECT_DOUBLE_EQ(a.ns_per_iter.median, 6.75);
-  EXPECT_DOUBLE_EQ(a.ns_per_iter.min, 6.25);
-  EXPECT_DOUBLE_EQ(a.cycles_per_iter.median, 14);
-  EXPECT_EQ(back->results[1].cycles_per_iter.count, 0u);
+  // Canonical writer: the parsed document re-emits byte-identically.
+  EXPECT_EQ(doc->Dump(), text);
 
-  // Canonical writer: a round-tripped report re-emits byte-identically.
-  EXPECT_EQ(ReportToJson(back.value()).Dump(), text);
-}
-
-TEST(ReportTest, WriteAndReadBackFromDisk) {
-  const BenchReport report = MakeReport();
   const std::string path = ::testing::TempDir() + "/BENCH_roundtrip.json";
   ASSERT_TRUE(WriteReport(report, path).ok());
-  auto back = ReadReport(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->results.size(), 2u);
-  EXPECT_DOUBLE_EQ(back->results[0].ns_per_iter.cv,
-                   report.results[0].ns_per_iter.cv);
+  std::ifstream in(path);
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), text);
   std::remove(path.c_str());
-}
-
-TEST(ReportTest, RejectsMalformedDocuments) {
-  // Not JSON at all.
-  EXPECT_FALSE(JsonValue::Parse("{not json").ok());
-  // Trailing garbage.
-  EXPECT_FALSE(JsonValue::Parse("{} extra").ok());
-  // Valid JSON, wrong schema.
-  auto wrong = JsonValue::Parse(R"({"schema": "v999"})");
-  ASSERT_TRUE(wrong.ok());
-  EXPECT_FALSE(ReportFromJson(wrong.value()).ok());
-  // Missing benchmarks array.
-  auto no_benches = JsonValue::Parse(
-      R"({"schema": "vodb-bench-v1", "git_sha": "x", "build_type": "y",
-          "machine": {"hostname": "h", "cpu_model": "c", "core_count": 1,
-                      "governor": "g"}})");
-  ASSERT_TRUE(no_benches.ok());
-  EXPECT_FALSE(ReportFromJson(no_benches.value()).ok());
-  // Benchmark entry with a mistyped stats block.
-  auto bad_stats = JsonValue::Parse(
-      R"({"schema": "vodb-bench-v1", "git_sha": "x", "build_type": "y",
-          "machine": {"hostname": "h", "cpu_model": "c", "core_count": 1,
-                      "governor": "g"},
-          "benchmarks": [{"name": "b", "iterations": 1, "repetitions": 2,
-                          "ns_per_iter": {"median": "fast"}}]})");
-  ASSERT_TRUE(bad_stats.ok());
-  EXPECT_FALSE(ReportFromJson(bad_stats.value()).ok());
 }
 
 TEST(ReportTest, DefaultFilenameSanitizesHostname) {
@@ -324,6 +312,96 @@ TEST(ReportTest, ProbeMachineAndGitShaAreNonEmpty) {
   EXPECT_FALSE(m.governor.empty());
   EXPECT_FALSE(GitSha().empty());
   EXPECT_FALSE(BuildType().empty());
+}
+
+// --- JsonValue: the one JSON writer ----------------------------------------
+
+TEST(JsonValueTest, ParseRejectsMalformedDocuments) {
+  EXPECT_FALSE(JsonValue::Parse("{not json").ok());
+  EXPECT_FALSE(JsonValue::Parse("{} extra").ok());
+  EXPECT_TRUE(JsonValue::Parse("{}").ok());
+}
+
+TEST(JsonValueTest, ParseRejectsRawControlCharacterInString) {
+  // RFC 8259 section 7: a byte below 0x20 must be escaped inside a string.
+  EXPECT_FALSE(JsonValue::Parse("\"a\tb\"").ok());
+  EXPECT_FALSE(JsonValue::Parse("{\"k\": \"line\nbreak\"}").ok());
+  auto escaped = JsonValue::Parse("\"a\\tb\"");
+  ASSERT_TRUE(escaped.ok());
+  EXPECT_EQ(escaped->AsString(), "a\tb");
+}
+
+TEST(JsonValueTest, DumpEscapesEveryControlByteAndRoundTrips) {
+  std::string all;
+  for (int c = 1; c < 0x20; ++c) all.push_back(static_cast<char>(c));
+  all += "\"\\/ plain";
+  JsonValue doc = JsonValue::Object();
+  doc.Set(all, JsonValue::Str(all));
+  const std::string text = doc.Dump();
+  for (const char c : text) {
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+        << "raw control byte " << static_cast<int>(c);
+  }
+  auto back = JsonValue::Parse(text);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_NE(back->Find(all), nullptr);
+  EXPECT_EQ(back->Find(all)->AsString(), all);
+
+  std::string quoted;
+  AppendJsonString(&quoted, "a\"b\\c\td\x01");
+  EXPECT_EQ(quoted, "\"a\\\"b\\\\c\\td\\u0001\"");
+}
+
+TEST(JsonValueTest, NumbersPrintShortestRoundTripText) {
+  const auto text = [](double d) {
+    std::string s = JsonValue::Number(d).Dump();
+    s.pop_back();  // Dump() ends the document with '\n'.
+    return s;
+  };
+  // Integral values within 2^53 print as integers.
+  EXPECT_EQ(text(0), "0");
+  EXPECT_EQ(text(100000), "100000");
+  EXPECT_EQ(text(-42), "-42");
+  EXPECT_EQ(text(9007199254740991.0), "9007199254740991");
+  // Other finite values: the shortest text that parses back exactly.
+  EXPECT_EQ(text(0.1), "0.1");
+  EXPECT_EQ(text(0.1234), "0.1234");
+  EXPECT_EQ(text(0.327), "0.327");
+  EXPECT_EQ(text(1e20), "1e+20");
+  // JSON has no inf or NaN.
+  EXPECT_EQ(text(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(text(std::nan("")), "null");
+
+  for (const double d : {0.1, 1.0 / 3.0, 2.0 / 3.0, 6.02214076e23, 1e-300,
+                         -123.456, 5e-324, 1.7976931348623157e308,
+                         9007199254740993.0, 0.30000000000000004}) {
+    auto back = JsonValue::Parse(JsonValue::Number(d).Dump());
+    ASSERT_TRUE(back.ok()) << d;
+    EXPECT_EQ(back->AsNumber(), d) << text(d);
+  }
+}
+
+// --- WriteFile: the one file writer -----------------------------------------
+
+TEST(WriteFileTest, WritesTextAndFailsOnMissingDirectoryOrFullDevice) {
+  const std::string path = ::testing::TempDir() + "/write_file_test.txt";
+  ASSERT_TRUE(WriteFile(path, "hello\n").ok());
+  std::ifstream in(path);
+  std::ostringstream back;
+  back << in.rdbuf();
+  EXPECT_EQ(back.str(), "hello\n");
+  std::remove(path.c_str());
+
+  EXPECT_FALSE(WriteFile(::testing::TempDir() + "/no_such_dir/x.txt", "x")
+                   .ok());
+  // A full device accepts the open and the buffered write; the failure
+  // shows only when the close flushes.
+  if (std::FILE* full = std::fopen("/dev/full", "w")) {
+    std::fclose(full);
+    EXPECT_FALSE(WriteFile("/dev/full", "x").ok());
+  } else {
+    GTEST_SKIP() << "no /dev/full";
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Coverage for the harness-shared BenchOptions parser: round-trips of every
-// flag and strict rejection of malformed values (satellite of the
-// perf-harness PR — the bench flags are load-bearing in CI, so a typo must
-// fail loudly, not silently fall back to a default).
+// flag, strict rejection of malformed values, and rejection of flags the
+// harness does not read (the bench flags are load-bearing in CI, so a typo
+// or an ignored flag must fail loudly, not silently fall back to a
+// default).
 
 #include "bench/bench_common.h"
 
@@ -29,9 +30,10 @@ class Argv {
   std::vector<char*> ptrs_;
 };
 
-Result<BenchOptions> ParseOf(std::vector<std::string> args) {
+Result<BenchOptions> ParseOf(std::vector<std::string> args,
+                             unsigned accepted = kFlagsAll) {
   Argv a(std::move(args));
-  return BenchOptions::TryParse(a.argc(), a.argv());
+  return BenchOptions::TryParse(a.argc(), a.argv(), accepted);
 }
 
 TEST(BenchOptionsTest, DefaultsWhenNoFlags) {
@@ -153,6 +155,37 @@ TEST(BenchOptionsTest, RejectsUnknownOptions) {
     auto opt = ParseOf({bad});
     EXPECT_FALSE(opt.ok()) << bad << " should be rejected";
   }
+}
+
+TEST(BenchOptionsTest, RejectsFlagsTheHarnessDoesNotRead) {
+  // fig06 and fig14 read --full alone: an artifact or fault flag would be
+  // ignored, so it is refused.
+  EXPECT_TRUE(ParseOf({"--full"}, kFlagFull).ok());
+  for (const char* unread :
+       {"--trace=t.json", "--metrics=m.json", "--threads=2", "--json",
+        "--faults=none", "--fault-seed=3", "--seeds=2", "--progress",
+        "--timeseries=ts.csv", "--postmortem-dir=pm"}) {
+    auto opt = ParseOf({unread}, kFlagFull);
+    EXPECT_FALSE(opt.ok()) << unread << " should be rejected";
+    EXPECT_EQ(opt.status().code(), StatusCode::kInvalidArgument) << unread;
+  }
+  // table4 reads --full and --seeds, not --faults.
+  EXPECT_TRUE(ParseOf({"--seeds=3", "--full"}, kFlagFull | kFlagSeeds).ok());
+  EXPECT_FALSE(ParseOf({"--faults=none"}, kFlagFull | kFlagSeeds).ok());
+  // fig12 reads --threads, --json and --metrics.
+  const unsigned fig12 = kFlagThreads | kFlagJson | kFlagMetrics;
+  EXPECT_TRUE(ParseOf({"--threads=2", "--json", "--metrics=m.json"}, fig12)
+                  .ok());
+  for (const char* unread : {"--trace", "--faults=none", "--full",
+                             "--seeds=2", "--timeseries=ts.csv",
+                             "--postmortem-dir=pm", "--progress"}) {
+    EXPECT_FALSE(ParseOf({unread}, fig12).ok()) << unread;
+  }
+  // Analysis harnesses read no flag at all.
+  EXPECT_TRUE(ParseOf({}, 0).ok());
+  EXPECT_FALSE(ParseOf({"--full"}, 0).ok());
+  // A typo stays an unknown option whatever the harness reads.
+  EXPECT_FALSE(ParseOf({"--bogus"}, kFlagFull).ok());
 }
 
 TEST(BenchOptionsTest, ApplyFaultsToCopiesBothFields) {

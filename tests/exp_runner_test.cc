@@ -1,7 +1,8 @@
 // Tests for the parallel experiment runner (src/exp): ParallelFor
 // mechanics, grid expansion/seeding, determinism of fan-out results across
-// thread counts, exception propagation out of worker tasks, the
-// empty/single-point edge cases, and the run log's counter keys.
+// thread counts (results, aggregates and the registry document), exception
+// propagation out of worker tasks, the empty/single-point edge cases, the
+// run log's counter keys and escaping, and the table emitters.
 
 #include <atomic>
 #include <cmath>
@@ -14,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bench_kit/json.h"
+#include "common/json.h"
 #include "common/units.h"
 #include "exp/day_run.h"
 #include "exp/grid.h"
@@ -146,7 +147,8 @@ TEST(GridTest, EmptyGrids) {
 
 /// Fast fake day: metrics derived arithmetically from the config, so tests
 /// exercise fan-out/ordering without second-long simulations.
-sim::SimMetrics FakeDay(const DayRunConfig& cfg) {
+sim::SimMetrics FakeDay(const RunSpec& spec) {
+  const DayRunConfig& cfg = spec.config;
   sim::SimMetrics m;
   m.arrivals = static_cast<long>(cfg.seed % 1000);
   m.admitted = static_cast<long>(cfg.alpha);
@@ -190,12 +192,12 @@ TEST(RunnerTest, ExceptionInRunFnPropagates) {
     Runner runner({.threads = threads});
     std::atomic<int> calls{0};
     try {
-      runner.RunWithSpecs(grid, [&calls](const RunSpec& spec) {
+      runner.Run(grid, [&calls](const RunSpec& spec) {
         calls.fetch_add(1);
         if (spec.index == 2 || spec.index == 5) {
           throw std::runtime_error(std::to_string(spec.index));
         }
-        return FakeDay(spec.config);
+        return FakeDay(spec);
       });
       ADD_FAILURE() << "expected an exception, threads=" << threads;
     } catch (const std::runtime_error& e) {
@@ -257,6 +259,32 @@ TEST(RunnerTest, RealRunsIdenticalAt1And2And8Threads) {
       EXPECT_EQ(agg_got[i].summary.stddev, agg_ref[i].summary.stddev);
     }
   }
+}
+
+/// A sweep's --metrics registry dumps byte-identically at 1 and 4 threads:
+/// JsonValue sorts its keys, and the runs are summed in grid order whatever
+/// thread ran them.
+TEST(RunnerTest, RegistryDocumentIsByteIdenticalAt1And4Threads) {
+  DayRunConfig base;
+  base.duration = Minutes(60);
+  base.total_arrivals = 30;
+  base.t_log = Minutes(10);
+  Grid grid;
+  grid.WithBase(base)
+      .OverMethods(
+          {core::ScheduleMethod::kRoundRobin, core::ScheduleMethod::kSweep})
+      .OverSchemes({sim::AllocScheme::kStatic, sim::AllocScheme::kDynamic});
+  const auto registry = [&grid](int threads) {
+    const std::vector<RunResult> results =
+        Runner({.threads = threads}).Run(grid);
+    std::vector<const sim::SimMetrics*> runs;
+    for (const RunResult& r : results) runs.push_back(&r.metrics);
+    return sim::SweepMetricsJson(runs).Dump();
+  };
+  const std::string serial = registry(1);
+  EXPECT_NE(serial.find("\"sim.services\""), std::string::npos);
+  EXPECT_NE(serial.find("\"sim.alloc.buffer_mbit\""), std::string::npos);
+  EXPECT_EQ(registry(4), serial);
 }
 
 /// A faulted sweep — same --fault-seed, grid expanded over an OverFaults
@@ -335,16 +363,32 @@ TEST(RunLogTest, HoldsEveryCounterUnderItsTableName) {
   for (const sim::SimCounter& c : sim::kSimCounters) {
     r.metrics.*c.field = value++;
   }
-  const auto log = bench_kit::JsonValue::Parse(RunLogJson({r}));
+  const auto log = JsonValue::Parse(RunLogJson({r}).Dump());
   ASSERT_TRUE(log.ok()) << log.status().ToString();
   ASSERT_EQ(log->Items().size(), 1u);
-  const bench_kit::JsonValue& run = log->Items()[0];
+  const JsonValue& run = log->Items()[0];
   value = 1;
   for (const sim::SimCounter& c : sim::kSimCounters) {
-    const bench_kit::JsonValue* logged = run.Find(std::string(c.name));
+    const JsonValue* logged = run.Find(std::string(c.name));
     ASSERT_NE(logged, nullptr) << c.name;
     EXPECT_EQ(logged->AsNumber(), static_cast<double>(value++)) << c.name;
   }
+  // No dumps, no pointer field.
+  EXPECT_EQ(run.Find("postmortems"), nullptr);
+}
+
+/// A postmortem path is caller-supplied: a tab or a quote in its directory
+/// must come out escaped, so the log still parses as strict JSON.
+TEST(RunLogTest, PostmortemPathWithControlCharactersRoundTrips) {
+  RunResult r;
+  r.spec.index = 3;
+  const std::string path = "pm\tdir/\"q\"/postmortem_run3_hiccup.json";
+  const auto log = JsonValue::Parse(RunLogJson({r}, {{3, {path}}}).Dump());
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  const JsonValue* paths = log->Items()[0].Find("postmortems");
+  ASSERT_NE(paths, nullptr);
+  ASSERT_EQ(paths->Items().size(), 1u);
+  EXPECT_EQ(paths->Items()[0].AsString(), path);
 }
 
 TEST(TableTest, CsvAndJsonEmission) {
@@ -355,8 +399,16 @@ TEST(TableTest, CsvAndJsonEmission) {
             "method,n,latency_s\nRoundRobin,8,0.1234\nGSS*,16,0.5\n");
   EXPECT_EQ(t.ToJson(),
             "[\n"
-            "  {\"method\": \"RoundRobin\", \"n\": 8, \"latency_s\": 0.1234},\n"
-            "  {\"method\": \"GSS*\", \"n\": 16, \"latency_s\": 0.5}\n"
+            "  {\n"
+            "    \"latency_s\": 0.1234,\n"
+            "    \"method\": \"RoundRobin\",\n"
+            "    \"n\": 8\n"
+            "  },\n"
+            "  {\n"
+            "    \"latency_s\": 0.5,\n"
+            "    \"method\": \"GSS*\",\n"
+            "    \"n\": 16\n"
+            "  }\n"
             "]\n");
 }
 

@@ -18,10 +18,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/units.h"
 #include "exp/day_run.h"
 #include "obs/event_tracer.h"
@@ -219,7 +221,7 @@ TEST(GoldenMetricsTest, PublishToRegistersTheExactDocumentedNameSet) {
   const DayRunConfig cfg =
       GoldenConfig(core::ScheduleMethod::kSweep, sim::AllocScheme::kDynamic);
   const sim::SimMetrics m = RunDay(cfg);
-  const std::string json = sim::SweepMetricsJson({&m});
+  const JsonValue json = sim::SweepMetricsJson({&m});
 
   const char* counters[] = {
       "arrivals", "admitted", "rejected", "rejected_capacity",
@@ -235,26 +237,22 @@ TEST(GoldenMetricsTest, PublishToRegistersTheExactDocumentedNameSet) {
       "run.peak_concurrency", "run.buffer_gbit_allocated",
       "run.buffer_gbit_released",
   };
-  std::size_t published = 0;
+  const JsonValue* counter_section = json.Find("counters");
+  const JsonValue* histogram_section = json.Find("histograms");
+  ASSERT_NE(counter_section, nullptr);
+  ASSERT_NE(histogram_section, nullptr);
   for (const char* name : counters) {
-    EXPECT_NE(json.find("\"sim." + std::string(name) + "\""),
-              std::string::npos)
+    EXPECT_NE(counter_section->Find("sim." + std::string(name)), nullptr)
         << name;
-    ++published;
   }
   for (const char* name : histograms) {
-    EXPECT_NE(json.find("\"sim." + std::string(name) + "\""),
-              std::string::npos)
+    EXPECT_NE(histogram_section->Find("sim." + std::string(name)), nullptr)
         << name;
-    ++published;
   }
   // And nothing else: every published key is in the documented set.
-  std::size_t found = 0;
-  for (std::size_t pos = json.find("\"sim."); pos != std::string::npos;
-       pos = json.find("\"sim.", pos + 1)) {
-    ++found;
-  }
-  EXPECT_EQ(found, published);
+  EXPECT_EQ(json.Fields().size(), 2u);
+  EXPECT_EQ(counter_section->Fields().size(), std::size(counters));
+  EXPECT_EQ(histogram_section->Fields().size(), std::size(histograms));
 
   // The new ledger histograms carry the run's real values (not just
   // registered-but-empty).
