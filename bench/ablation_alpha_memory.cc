@@ -38,5 +38,5 @@ int main(int argc, char** argv) {
                   ToMebibytes(*mem));
     }
   }
-  return 0;
+  return ExitStatus();
 }

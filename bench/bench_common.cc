@@ -249,8 +249,9 @@ ObsSession::ObsSession(const BenchOptions& opt, std::size_t total_runs)
     std::error_code ec;
     std::filesystem::create_directories(opt.postmortem_dir, ec);
     if (ec) {
-      std::fprintf(stderr, "warning: cannot create --postmortem-dir %s: %s\n",
-                   opt.postmortem_dir.c_str(), ec.message().c_str());
+      postmortem_dir_status_ = Status::InvalidArgument(
+          "cannot create --postmortem-dir " + opt.postmortem_dir + ": " +
+          ec.message());
     }
     obs::PostmortemSink::Options po;
     po.dir = opt.postmortem_dir;
@@ -334,6 +335,8 @@ Status ObsSession::Finish(const std::vector<exp::RunResult>& results) const {
     }
     check(obs::WriteTimeseriesCsv(timeseries_path_, runs));
   }
+  check(postmortem_dir_status_);
+  for (const auto& sink : sinks_) check(sink->write_status());
   const auto postmortems = PostmortemPaths();
   for (const auto& [index, paths] : postmortems) {
     for (const std::string& p : paths) {
@@ -349,6 +352,14 @@ Status ObsSession::Finish(const std::vector<exp::RunResult>& results) const {
 
 void PrintCsvHeader(const std::string& columns) {
   std::printf("%s\n", columns.c_str());
+}
+
+int ExitStatus(bool ok) {
+  const Status flushed = FlushStream(stdout);
+  if (!flushed.ok()) {
+    std::fprintf(stderr, "stdout: %s\n", flushed.ToString().c_str());
+  }
+  return ok && flushed.ok() ? 0 : 1;
 }
 
 }  // namespace vod::bench

@@ -143,8 +143,9 @@ class ObsSession {
 
   /// Writes the --trace / --timeseries / --metrics artifacts (no-ops for
   /// unset flags) and reports any postmortem dumps on stderr. Every failed
-  /// write is reported on stderr; the first one is returned, and the
-  /// harness exits 1 on it.
+  /// write is reported on stderr, a --postmortem-dir that could not be
+  /// created and each sink's failed dump among them; the first one is
+  /// returned, and the harness exits 1 on it.
   Status Finish(const std::vector<exp::RunResult>& results) const;
 
   /// Dump files written so far, keyed by grid index (for RunLogJson).
@@ -155,6 +156,7 @@ class ObsSession {
   std::string metrics_path_;
   std::string timeseries_path_;
   bool spans_ = false;
+  Status postmortem_dir_status_;  ///< Creating --postmortem-dir.
   std::vector<std::unique_ptr<obs::EventTracer>> tracers_;
   std::vector<std::unique_ptr<obs::TimeseriesRecorder>> recorders_;
   std::vector<std::unique_ptr<obs::PostmortemSink>> sinks_;
@@ -162,6 +164,11 @@ class ObsSession {
 
 /// Prints a CSV header + rows helper.
 void PrintCsvHeader(const std::string& columns);
+
+/// A harness's exit status once its results are printed: 1 when `ok` is
+/// false or stdout cannot be written (FlushStream; reported on stderr),
+/// else 0. Every harness returns through it.
+int ExitStatus(bool ok = true);
 
 }  // namespace vod::bench
 

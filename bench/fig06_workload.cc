@@ -50,5 +50,5 @@ int main(int argc, char** argv) {
     std::printf("# theta=%.1f: arrivals=%zu rejected=%d peak=%d\n", theta,
                 arrivals->size(), load.rejected, load.peak);
   }
-  return 0;
+  return ExitStatus();
 }

@@ -90,6 +90,6 @@ int main(int argc, char** argv) {
     table.AddRow(std::move(row));
   }
   if (!opt.json) std::printf("# Fig. 7: estimation vs T_log (alpha=1)\n");
-  table.Write(stdout, opt.json);
-  return obs_session.Finish(results).ok() ? 0 : 1;
+  const bool written = table.Write(stdout, opt.json).ok();
+  return ExitStatus(obs_session.Finish(results).ok() && written);
 }

@@ -88,6 +88,6 @@ int main(int argc, char** argv) {
   if (!opt.json) {
     std::printf("# Fig. 8: estimation vs alpha (paper T_log per method)\n");
   }
-  table.Write(stdout, opt.json);
-  return obs_session.Finish(results).ok() ? 0 : 1;
+  const bool written = table.Write(stdout, opt.json).ok();
+  return ExitStatus(obs_session.Finish(results).ok() && written);
 }

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     std::printf("cylinders,%ld\n", p.cylinders);
     std::printf("N,%d\n",
                 core::MaxConcurrentRequests(p.transfer_rate, Mbps(1.5)));
-    return 0;
+    return ExitStatus();
   }
 
   std::printf("# Fig. 9: buffer size (Mbit) vs n, per method\n");
@@ -60,5 +60,5 @@ int main(int argc, char** argv) {
                   ToMegabits(Bits(pt.stat)), ToMegabits(Bits(pt.dynamic)));
     }
   }
-  return 0;
+  return ExitStatus();
 }

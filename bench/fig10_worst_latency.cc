@@ -34,5 +34,5 @@ int main(int argc, char** argv) {
                   pt.dynamic);
     }
   }
-  return 0;
+  return ExitStatus();
 }

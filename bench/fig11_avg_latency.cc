@@ -104,6 +104,6 @@ int main(int argc, char** argv) {
     std::printf("# Fig. 11: average initial latency (s) vs n (simulation, %d "
                 "seeds)\n", seeds);
   }
-  table.Write(stdout, opt.json);
-  return obs_session.Finish(results).ok() ? 0 : 1;
+  const bool written = table.Write(stdout, opt.json).ok();
+  return ExitStatus(obs_session.Finish(results).ok() && written);
 }

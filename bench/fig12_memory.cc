@@ -67,14 +67,14 @@ int main(int argc, char** argv) {
     std::printf(
         "# Fig. 12: minimum memory requirement (MB) vs n, per method\n");
   }
-  table.Write(stdout, opt.json);
+  const bool written = table.Write(stdout, opt.json).ok();
   if (!opt.metrics.empty()) {
     const Status st = WriteMetricsArtifacts(opt.metrics, {});
     if (!st.ok()) {
       std::fprintf(stderr, "artifact write failed: %s\n",
                    st.ToString().c_str());
-      return 1;
+      return ExitStatus(false);
     }
   }
-  return 0;
+  return ExitStatus(written);
 }

@@ -41,5 +41,5 @@ int main(int argc, char** argv) {
                   pt.stat, pt.dynamic);
     }
   }
-  return 0;
+  return ExitStatus();
 }

@@ -67,5 +67,5 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     }
   }
-  return 0;
+  return ExitStatus();
 }

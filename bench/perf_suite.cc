@@ -28,6 +28,7 @@
 #include "bench_kit/harness.h"
 #include "bench_kit/report.h"
 #include "common/check.h"
+#include "common/file.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "core/buffer_size_table.h"
@@ -458,4 +459,15 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace vod::bench
 
-int main(int argc, char** argv) { return vod::bench::Main(argc, argv); }
+int main(int argc, char** argv) {
+  const int code = vod::bench::Main(argc, argv);
+  if (code != 0) return code;
+  // --list and --out=- print to stdout, which may be a full device.
+  const vod::Status flushed = vod::FlushStream(stdout);
+  if (!flushed.ok()) {
+    std::fprintf(stderr, "perf_suite: stdout: %s\n",
+                 flushed.ToString().c_str());
+    return 1;
+  }
+  return 0;
+}

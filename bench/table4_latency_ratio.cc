@@ -68,5 +68,5 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
     }
   }
-  return 0;
+  return ExitStatus();
 }

@@ -45,5 +45,5 @@ int main(int argc, char** argv) {
     }
     std::printf("%.1f,%.2f\n", theta, count ? ratio_sum / count : 0.0);
   }
-  return 0;
+  return ExitStatus();
 }

@@ -5,14 +5,22 @@ Catches exporter regressions that a human squinting at Perfetto would miss:
 missing payload fields, non-monotonic timestamps inside a run, unbalanced
 slice begin/end pairs, dangling async spans, and malformed flow chains.
 
+The trace vocabulary is read from src/obs/trace_event.h, where the C++
+exporters read it too: `kTraceKinds` gives each kind's exported name and
+the payload fields it carries, and `kTraceFields` each field's key and
+unit. The script exits 2 when that header does not hold one row per
+`TraceEventKind`. Every payload is checked for its exact key set: a key
+the kind's row lacks is a finding, like a missing one. Counts must be
+integers; bits and seconds numbers.
+
 Two formats, selected by file suffix exactly like obs::WriteTraceFile:
 
   *.jsonl   One JSON object per line:
               {"run":N,"label":...,"time":T,"kind":K,"disk":D,"request":R,
-               ...kind-specific payload}
+               ...the kind's payload}
             Checks: every line parses; required keys with correct types;
-            `kind` is a known token; kind-specific payload keys present;
-            `time` non-decreasing within each run (one run = one
+            `kind` is a known token; the payload keys are exactly the
+            kind's; `time` non-decreasing within each run (one run = one
             single-threaded simulator = one clock).
 
   * (else)  Chrome trace-event JSON ({"traceEvents": [...]}):
@@ -21,44 +29,108 @@ Two formats, selected by file suffix exactly like obs::WriteTraceFile:
             non-decreasing over non-metadata events; B/E slice nesting per
             (pid, tid) never goes negative and ends balanced; async b/e
             per id open before close and all close; flow chains per id are
-            s (t)* f with the terminal f carrying bp="e"; X span events
-            (--spans) carry a non-negative `dur`, a known span name, cat
-            "span", and sit on the stream track derived from args.request
+            s (t)* f with the terminal f carrying bp="e"; instants are
+            named by a known kind and their args are `request` plus that
+            kind's payload; B service slices carry `request` plus
+            service_start's payload; X span events (--spans) carry a
+            non-negative `dur`, a known span name, cat "span", and sit on
+            the stream track derived from args.request
             (tid = 2000 + request).
 
 A file whose basename starts with "postmortem" and ends in ".json" is
 validated as a postmortem black-box dump instead (schema
-"vodb-postmortem-v1"): required top-level keys with correct types, ring
-tail entries shaped like trace events, and embedded config/metrics
-objects. A dump a run captured (reason "invariant" or "hiccup") must carry
-that run's counters: `metrics.counters` is a non-empty object of
-non-negative integers that includes `sim.arrivals`.
+"vodb-postmortem-v2"): required top-level keys with correct types, ring
+tail entries that are JSONL objects without `run` and `label` (`time`,
+`kind`, `disk`, `request` and exactly the kind's payload), and embedded
+config/metrics objects. A dump a run captured (reason "invariant" or
+"hiccup") must carry that run's counters: `metrics.counters` is a
+non-empty object of non-negative integers that includes `sim.arrivals`.
 
 Usage: validate_trace.py <file> [<file> ...]
 Exit status: 0 when all files are valid, 1 with findings on stderr
-otherwise.
+otherwise, 2 on a usage error or an unreadable vocabulary header.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
 import sys
 
-KNOWN_KINDS = {
-    "arrival", "admit", "defer", "reject_capacity", "reject_memory",
-    "reject_invalid", "allocation", "service_start", "service_end",
-    "starvation", "departure", "cancel", "read_fault", "hiccup",
-    "degraded", "recovered",
-}
+# The vocabulary header, relative to this script.
+TRACE_EVENT_HEADER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                  os.pardir, "src", "obs", "trace_event.h")
 
-# kind -> payload keys that must ride along in JSONL.
-KIND_PAYLOAD = {
-    "admit": ["n"],
-    "allocation": ["n", "k", "buffer_bits", "usage_period"],
-    "service_start": ["bits", "seek", "rotation", "transfer"],
-    "service_end": ["bits", "seek", "rotation", "transfer"],
-    "read_fault": ["seek", "rotation"],
-}
+# Python types a payload value of each TraceUnit may have.
+UNIT_TYPES = {"kCount": (int,), "kBits": (int, float),
+              "kSeconds": (int, float)}
+
+# The kind whose events open Chrome's B "service" slices.
+CHROME_SLICE_KIND = "service_start"
+
+
+class VocabularyError(Exception):
+    """The header does not hold one well-formed row per kind."""
+
+
+def _table_body(text: str, name: str) -> str:
+    m = re.search(r"\b" + name + r"\[\]\s*=\s*\{(.*?)\n\};", text, re.S)
+    if m is None:
+        raise VocabularyError(f"no `{name}` table")
+    return m.group(1)
+
+
+def parse_vocabulary(text: str) -> tuple[dict, dict]:
+    """Returns ({kind: {field: unit}}, {field: unit}) from trace_event.h."""
+    text = re.sub(r"//[^\n]*", "", text)
+    enum = re.search(r"enum\s+class\s+TraceEventKind\b[^{]*\{(.*?)\};",
+                     text, re.S)
+    if enum is None:
+        raise VocabularyError("no `TraceEventKind` enum")
+    enumerators = re.findall(r"\b(k[A-Z]\w*)\b", enum.group(1))
+
+    fields = {}  # enum token (kFieldN) -> (key, unit)
+    for token, key, unit in re.findall(
+            r'\{\s*(kField\w+)\s*,\s*"(\w+)"\s*,\s*TraceUnit::(k\w+)',
+            _table_body(text, "kTraceFields")):
+        if unit not in UNIT_TYPES:
+            raise VocabularyError(f"field `{key}` has unknown unit `{unit}`")
+        fields[token] = (key, unit)
+    if len({key for key, _ in fields.values()}) != len(fields):
+        raise VocabularyError("a kTraceFields key appears twice")
+
+    rows = re.findall(
+        r'\{\s*TraceEventKind::(k\w+)\s*,\s*"(\w+)"\s*,\s*([^{}]*?)\s*\}',
+        _table_body(text, "kTraceKinds"))
+    if [row[0] for row in rows] != enumerators or not rows:
+        raise VocabularyError(
+            f"kTraceKinds has {len(rows)} rows; TraceEventKind has "
+            f"{len(enumerators)} kinds, and each needs one row, in order")
+    kinds = {}
+    for _, name, expr in rows:
+        payload = {}
+        for token in re.split(r"\s*\|\s*", expr):
+            if token == "0":
+                continue
+            if token not in fields:
+                raise VocabularyError(f"kind `{name}` names unknown field "
+                                      f"`{token}`")
+            key, unit = fields[token]
+            payload[key] = unit
+        if name in kinds:
+            raise VocabularyError(f"kind name `{name}` appears twice")
+        kinds[name] = payload
+    return kinds, dict(fields.values())
+
+
+def load_vocabulary(path: str = TRACE_EVENT_HEADER) -> tuple[dict, dict]:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse_vocabulary(f.read())
+    except OSError as e:
+        raise VocabularyError(f"cannot read {path}: {e}") from e
+
 
 # Per-stream lifecycle spans emitted by --spans (obs/span_tracker.h).
 SPAN_NAMES = {"admission_wait", "service", "degraded", "retry_burst"}
@@ -67,7 +139,9 @@ SPAN_NAMES = {"admission_wait", "service", "degraded", "retry_burst"}
 # (obs::kSpanTrackTidBase).
 SPAN_TID_BASE = 2000
 
-POSTMORTEM_SCHEMA = "vodb-postmortem-v1"
+POSTMORTEM_SCHEMA = "vodb-postmortem-v2"
+# A ring tail entry: a JSONL line's keys without "run" and "label".
+TAIL_KEYS = {"time": (int, float), "kind": str, "disk": int, "request": int}
 POSTMORTEM_REASONS = {"invariant", "hiccup", "explicit"}
 # Reasons whose dumps a simulator captured, so they hold its counters.
 POSTMORTEM_RUN_REASONS = {"invariant", "hiccup"}
@@ -85,12 +159,29 @@ class Findings:
             print("... further findings suppressed", file=sys.stderr)
 
 
+def check_payload(where: str, kind: str, obj: dict, base: set[str],
+                  kinds: dict, findings: Findings) -> None:
+    """`obj` holds exactly the `base` keys and `kind`'s payload keys, and
+    each payload value has its unit's type."""
+    payload = kinds[kind]
+    for key in sorted(payload.keys() - obj.keys()):
+        findings.report(where, f"kind `{kind}` missing payload `{key}`")
+    for key in sorted(obj.keys() - payload.keys() - base):
+        findings.report(where, f"kind `{kind}` has unexpected key `{key}`")
+    for key, unit in payload.items():
+        value = obj.get(key)
+        if key in obj and (not isinstance(value, UNIT_TYPES[unit])
+                           or isinstance(value, bool)):
+            findings.report(where, f"payload `{key}` of kind `{kind}` is not "
+                                   f"a {unit} value ({value!r})")
+
+
 # ---------------------------------------------------------------------------
 # JSONL
 # ---------------------------------------------------------------------------
 
 
-def validate_jsonl(path: str, findings: Findings) -> int:
+def validate_jsonl(path: str, findings: Findings, kinds: dict) -> int:
     required = {
         "run": int, "label": str, "time": (int, float), "kind": str,
         "disk": int, "request": int,
@@ -124,13 +215,10 @@ def validate_jsonl(path: str, findings: Findings) -> int:
             if not ok:
                 continue
             kind = ev["kind"]
-            if kind not in KNOWN_KINDS:
+            if kind not in kinds:
                 findings.report(where, f"unknown kind `{kind}`")
                 continue
-            for key in KIND_PAYLOAD.get(kind, []):
-                if key not in ev:
-                    findings.report(where,
-                                    f"kind `{kind}` missing payload `{key}`")
+            check_payload(where, kind, ev, set(required), kinds, findings)
             run = ev["run"]
             t = float(ev["time"])
             if t < 0:
@@ -148,7 +236,7 @@ def validate_jsonl(path: str, findings: Findings) -> int:
 # ---------------------------------------------------------------------------
 
 
-def validate_chrome(path: str, findings: Findings) -> int:
+def validate_chrome(path: str, findings: Findings, kinds: dict) -> int:
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
@@ -239,8 +327,20 @@ def validate_chrome(path: str, findings: Findings) -> int:
                 findings.report(
                     where, f"span for request {request} on tid {tid}, "
                            f"expected {SPAN_TID_BASE + request}")
-        elif ph == "B":
-            slice_depth[(pid, tid)] = slice_depth.get((pid, tid), 0) + 1
+        elif ph in ("i", "B"):
+            kind = ev.get("name") if ph == "i" else CHROME_SLICE_KIND
+            args = ev.get("args")
+            if kind not in kinds:
+                findings.report(where, f"instant of unknown kind `{kind}`")
+            elif not isinstance(args, dict):
+                findings.report(where, f"`{kind}` event without args")
+            else:
+                if not isinstance(args.get("request"), int):
+                    findings.report(where, "missing integer args.request")
+                check_payload(where, kind, args, {"request"}, kinds,
+                              findings)
+            if ph == "B":
+                slice_depth[(pid, tid)] = slice_depth.get((pid, tid), 0) + 1
         elif ph == "E":
             depth = slice_depth.get((pid, tid), 0) - 1
             slice_depth[(pid, tid)] = depth
@@ -323,7 +423,7 @@ def validate_counters(path: str, metrics: object,
         findings.report(path, "metrics.counters has no `sim.arrivals`")
 
 
-def validate_postmortem(path: str, findings: Findings) -> int:
+def validate_postmortem(path: str, findings: Findings, kinds: dict) -> int:
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
@@ -376,13 +476,21 @@ def validate_postmortem(path: str, findings: Findings) -> int:
                     findings.report(where, "entry is not an object")
                     continue
                 tail_events += 1
-                kind = ev.get("kind")
-                if kind not in KNOWN_KINDS:
-                    findings.report(where, f"unknown kind `{kind}`")
-                t = ev.get("time_s")
-                if not isinstance(t, (int, float)) or isinstance(t, bool):
-                    findings.report(where, "missing/non-numeric `time_s`")
+                ok = True
+                for key, ty in TAIL_KEYS.items():
+                    if not isinstance(ev.get(key), ty) or \
+                            isinstance(ev.get(key), bool):
+                        findings.report(where, f"missing/wrong-type `{key}`")
+                        ok = False
+                if not ok:
                     continue
+                kind = ev["kind"]
+                if kind not in kinds:
+                    findings.report(where, f"unknown kind `{kind}`")
+                else:
+                    check_payload(where, kind, ev, set(TAIL_KEYS), kinds,
+                                  findings)
+                t = ev["time"]
                 if last_t is not None and t < last_t:
                     findings.report(where, f"time went backwards: {t} "
                                            f"after {last_t}")
@@ -396,16 +504,16 @@ def validate_postmortem(path: str, findings: Findings) -> int:
     return 1 + tail_events
 
 
-def validate_one(path: str, findings: Findings) -> None:
+def validate_one(path: str, findings: Findings, kinds: dict) -> None:
     base = path.rsplit("/", 1)[-1]
     if base.startswith("postmortem") and base.endswith(".json"):
-        events = validate_postmortem(path, findings)
+        events = validate_postmortem(path, findings, kinds)
         label = "entries"
     elif path.endswith(".jsonl"):
-        events = validate_jsonl(path, findings)
+        events = validate_jsonl(path, findings, kinds)
         label = "events"
     else:
-        events = validate_chrome(path, findings)
+        events = validate_chrome(path, findings, kinds)
         label = "events"
     if events == 0 and not findings.count:
         print(f"validate_trace: {path} contains no events", file=sys.stderr)
@@ -419,10 +527,15 @@ def main() -> int:
     if len(sys.argv) < 2:
         print(__doc__, file=sys.stderr)
         return 2
+    try:
+        kinds, _ = load_vocabulary()
+    except VocabularyError as e:
+        print(f"validate_trace: {TRACE_EVENT_HEADER}: {e}", file=sys.stderr)
+        return 2
     failed = 0
     for path in sys.argv[1:]:
         findings = Findings()
-        validate_one(path, findings)
+        validate_one(path, findings, kinds)
         if findings.count:
             print(f"validate_trace: {findings.count} finding(s) in {path}",
                   file=sys.stderr)

@@ -143,11 +143,7 @@ JsonValue ReportToJson(const BenchReport& report) {
 
 Status WriteReport(const BenchReport& report, const std::string& path) {
   const std::string text = ReportToJson(report).Dump();
-  if (path == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return Status::OK();
-  }
-  return WriteFile(path, text);
+  return path == "-" ? WriteStream(stdout, text) : WriteFile(path, text);
 }
 
 std::string DefaultReportFilename(const MachineInfo& machine) {

@@ -18,12 +18,4 @@ std::uint64_t CycleNow() {
 #endif
 }
 
-bool CyclesAvailable() {
-#if defined(__x86_64__) || defined(__aarch64__)
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace vod::bench_kit

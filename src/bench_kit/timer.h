@@ -23,9 +23,6 @@ std::int64_t WallNanos();
 /// single instructions.
 std::uint64_t CycleNow();
 
-/// True when CycleNow() reads a real counter on this build.
-bool CyclesAvailable();
-
 }  // namespace vod::bench_kit
 
 #endif  // VODB_BENCH_KIT_TIMER_H_

@@ -21,4 +21,20 @@ Status WriteFile(const std::string& path, std::string_view text) {
   return Status::OK();
 }
 
+Status WriteStream(std::FILE* out, std::string_view text) {
+  if (std::fwrite(text.data(), 1, text.size(), out) != text.size()) {
+    return Status::Internal(std::string("cannot write output: ") +
+                            std::strerror(errno));
+  }
+  return FlushStream(out);
+}
+
+Status FlushStream(std::FILE* out) {
+  if (std::fflush(out) != 0 || std::ferror(out) != 0) {
+    return Status::Internal(std::string("cannot write output: ") +
+                            std::strerror(errno));
+  }
+  return Status::OK();
+}
+
 }  // namespace vod

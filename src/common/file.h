@@ -1,6 +1,7 @@
 #ifndef VODB_COMMON_FILE_H_
 #define VODB_COMMON_FILE_H_
 
+#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -13,6 +14,16 @@ namespace vod {
 /// artifact file goes through it: traces, telemetry CSVs, the --metrics
 /// document, postmortem dumps and BENCH reports.
 Status WriteFile(const std::string& path, std::string_view text);
+
+/// Writes `text` to the open stream `out` (stdout, for the result tables
+/// and BENCH reports sent to "-") and flushes it. Fails on a short write
+/// or a failed flush.
+Status WriteStream(std::FILE* out, std::string_view text);
+
+/// Flushes `out`. Fails when the flush fails or an earlier write to `out`
+/// did (its error flag), so output sent to a full device fails here even
+/// when each printf seemed to succeed.
+Status FlushStream(std::FILE* out);
 
 }  // namespace vod
 

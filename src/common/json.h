@@ -27,11 +27,8 @@ class JsonValue {
   static JsonValue Object();
 
   Kind kind() const { return kind_; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
 
   // Accessors: preconditions are the matching kind.
-  bool AsBool() const { return bool_; }
   double AsNumber() const { return number_; }
   const std::string& AsString() const { return string_; }
   const std::vector<JsonValue>& Items() const { return array_; }

@@ -31,12 +31,6 @@ class SeekModel {
   /// monotone non-decreasing across the boundary).
   Status Validate() const;
 
-  Seconds mu1() const { return mu1_; }
-  Seconds nu1() const { return nu1_; }
-  Seconds mu2() const { return mu2_; }
-  Seconds nu2() const { return nu2_; }
-  double boundary_cylinders() const { return boundary_; }
-
  private:
   Seconds mu1_;
   Seconds nu1_;

@@ -50,7 +50,6 @@ Result<ServiceTiming> SimulatedDisk::FailedRead(double cylinder,
   head_ = cylinder;
   total_seek_ += t.seek;
   total_rotation_ += t.rotation;
-  ++failed_reads_;
   return t;
 }
 

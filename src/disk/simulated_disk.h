@@ -32,8 +32,7 @@ class SimulatedDisk {
   /// A read attempt that fails after the mechanical positioning phase
   /// (transient EIO from fault injection): the arm seeks and the platter
   /// rotates, but no data transfers and the head parks at the target
-  /// cylinder. Costs seek + rotation; counted in failed_read_count(), not
-  /// read_count().
+  /// cylinder. Costs seek + rotation; not counted in read_count().
   Result<ServiceTiming> FailedRead(double cylinder, double rotation_fraction);
 
   /// Worst-case duration of a read of `bits` whose seek spans at most
@@ -49,7 +48,6 @@ class SimulatedDisk {
   Seconds total_rotation_time() const { return total_rotation_; }
   Seconds total_transfer_time() const { return total_transfer_; }
   long read_count() const { return reads_; }
-  long failed_read_count() const { return failed_reads_; }
 
  private:
   DiskProfile profile_;
@@ -58,7 +56,6 @@ class SimulatedDisk {
   Seconds total_rotation_;
   Seconds total_transfer_;
   long reads_ = 0;
-  long failed_reads_ = 0;
 };
 
 }  // namespace vod::disk

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/file.h"
 #include "exp/thread_pool.h"
 #include "obs/clock.h"
 #include "obs/progress.h"
@@ -160,9 +161,8 @@ std::string Table::ToJson() const {
   return json.Dump();
 }
 
-void Table::Write(std::FILE* out, bool json) const {
-  const std::string text = json ? ToJson() : ToCsv();
-  std::fwrite(text.data(), 1, text.size(), out);
+Status Table::Write(std::FILE* out, bool json) const {
+  return WriteStream(out, json ? ToJson() : ToCsv());
 }
 
 }  // namespace vod::exp

@@ -113,16 +113,15 @@ class Table {
   /// `cells.size()` must equal the column count.
   void AddRow(std::vector<std::string> cells);
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Header line + one line per row, comma-separated.
   std::string ToCsv() const;
   /// JSON array with one object per row, keyed by column; a cell that
   /// parses fully as a number is a number, any other a string.
   std::string ToJson() const;
 
-  /// Writes CSV (or JSON when `json`) to `out`.
-  void Write(std::FILE* out, bool json) const;
+  /// Writes CSV (or JSON when `json`) to `out` and flushes it; fails when
+  /// the stream does (common/file.h WriteStream).
+  Status Write(std::FILE* out, bool json) const;
 
  private:
   std::vector<std::string> columns_;

@@ -51,7 +51,6 @@ ReadFault Injector::OnRead(int disk, Seconds now) {
     }
   }
   if (f.fail) ++read_failures_injected_;
-  if (f.latency_factor > 1.0 || f.extra_latency > Seconds(0)) ++reads_delayed_;
   return f;
 }
 

@@ -79,7 +79,6 @@ class Injector {
   [[nodiscard]] long read_failures_injected() const {
     return read_failures_injected_;
   }
-  [[nodiscard]] long reads_delayed() const { return reads_delayed_; }
 
  private:
   FaultSpec spec_;
@@ -87,7 +86,6 @@ class Injector {
   sim::Rng rng_;
   long reads_seen_ = 0;
   long read_failures_injected_ = 0;
-  long reads_delayed_ = 0;
 };
 
 }  // namespace vod::fault

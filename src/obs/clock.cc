@@ -10,8 +10,4 @@ std::int64_t MonotonicNanos() {
       .count();
 }
 
-Seconds MonotonicSeconds() {
-  return Seconds(static_cast<double>(MonotonicNanos()) * 1e-9);
-}
-
 }  // namespace vod::obs

@@ -22,9 +22,6 @@ namespace vod::obs {
 /// Monotonic nanoseconds since an arbitrary fixed epoch.
 std::int64_t MonotonicNanos();
 
-/// Monotonic seconds since the same epoch.
-Seconds MonotonicSeconds();
-
 /// The profiler's tick source, in arbitrary units that advance at a constant
 /// rate: the x86-64 time-stamp counter (about half the cost of a
 /// steady_clock read), MonotonicNanos() on other targets. Only differences
@@ -37,12 +34,11 @@ inline std::int64_t ProfTicks() {
 #endif
 }
 
-/// Restartable interval timer over the monotonic clock.
+/// Interval timer over the monotonic clock, started at construction.
 class Stopwatch {
  public:
   Stopwatch() : start_(MonotonicNanos()) {}
 
-  void Restart() { start_ = MonotonicNanos(); }
   std::int64_t ElapsedNanos() const { return MonotonicNanos() - start_; }
   Seconds Elapsed() const {
     return Seconds(static_cast<double>(ElapsedNanos()) * 1e-9);

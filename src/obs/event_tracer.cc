@@ -12,44 +12,6 @@ std::size_t RoundUpPow2(std::size_t n) {
 
 }  // namespace
 
-std::string_view TraceEventKindName(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kArrival:
-      return "arrival";
-    case TraceEventKind::kAdmit:
-      return "admit";
-    case TraceEventKind::kDefer:
-      return "defer";
-    case TraceEventKind::kRejectCapacity:
-      return "reject_capacity";
-    case TraceEventKind::kRejectMemory:
-      return "reject_memory";
-    case TraceEventKind::kRejectInvalid:
-      return "reject_invalid";
-    case TraceEventKind::kAllocation:
-      return "allocation";
-    case TraceEventKind::kServiceStart:
-      return "service_start";
-    case TraceEventKind::kServiceEnd:
-      return "service_end";
-    case TraceEventKind::kStarvation:
-      return "starvation";
-    case TraceEventKind::kDeparture:
-      return "departure";
-    case TraceEventKind::kCancel:
-      return "cancel";
-    case TraceEventKind::kReadFault:
-      return "read_fault";
-    case TraceEventKind::kHiccup:
-      return "hiccup";
-    case TraceEventKind::kDegraded:
-      return "degraded";
-    case TraceEventKind::kRecovered:
-      return "recovered";
-  }
-  return "unknown";
-}
-
 EventTracer::EventTracer(std::size_t capacity)
     : ring_(RoundUpPow2(capacity < 2 ? 2 : capacity)),
       mask_(ring_.size() - 1) {}

@@ -104,12 +104,4 @@ double Histogram::Quantile(double q) const {
   return max();
 }
 
-std::vector<std::int64_t> Histogram::BucketCounts() const {
-  std::vector<std::int64_t> out(opt_.buckets);
-  for (std::size_t i = 0; i < opt_.buckets; ++i) {
-    out[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
 }  // namespace vod::obs

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 namespace vod::obs {
 
@@ -51,7 +50,6 @@ class Histogram {
   double UpperBound(std::size_t i) const;
   /// Which bucket `v` lands in.
   std::size_t BucketFor(double v) const;
-  std::vector<std::int64_t> BucketCounts() const;
   const Options& options() const { return opt_; }
 
  private:

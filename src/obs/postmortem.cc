@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/check.h"
 #include "common/file.h"
+#include "obs/trace_export.h"
 
 namespace vod::obs {
 
@@ -22,22 +24,6 @@ std::string Sanitize(const std::string& label) {
                : '-';
   }
   return out.empty() ? std::string("run") : out;
-}
-
-JsonValue EventToJson(const TraceEvent& ev) {
-  JsonValue e = JsonValue::Object();
-  e.Set("time_s", JsonValue::Number(ToSeconds(ev.time)));
-  e.Set("kind", JsonValue::Str(std::string(TraceEventKindName(ev.kind))));
-  e.Set("disk", JsonValue::Number(static_cast<double>(ev.disk)));
-  e.Set("request", JsonValue::Number(static_cast<double>(ev.request)));
-  e.Set("n", JsonValue::Number(static_cast<double>(ev.n)));
-  e.Set("k", JsonValue::Number(static_cast<double>(ev.k)));
-  e.Set("bits", JsonValue::Number(ToBits(ev.bits)));
-  e.Set("usage_period_s", JsonValue::Number(ToSeconds(ev.usage_period)));
-  e.Set("seek_s", JsonValue::Number(ToSeconds(ev.seek)));
-  e.Set("rotation_s", JsonValue::Number(ToSeconds(ev.rotation)));
-  e.Set("transfer_s", JsonValue::Number(ToSeconds(ev.transfer)));
-  return e;
 }
 
 }  // namespace
@@ -66,7 +52,7 @@ Result<std::string> PostmortemSink::Capture(PostmortemReason reason,
                                             Seconds sim_time,
                                             JsonValue counters) {
   JsonValue doc = JsonValue::Object();
-  doc.Set("schema", JsonValue::Str("vodb-postmortem-v1"));
+  doc.Set("schema", JsonValue::Str("vodb-postmortem-v2"));
   doc.Set("reason",
           JsonValue::Str(std::string(PostmortemReasonName(reason))));
   doc.Set("detail", JsonValue::Str(detail));
@@ -84,8 +70,14 @@ Result<std::string> PostmortemSink::Capture(PostmortemReason reason,
     const std::size_t skip = events.size() > options_.ring_tail
                                  ? events.size() - options_.ring_tail
                                  : 0;
+    // Each entry is the event's JSONL object without "run" and "label".
     for (std::size_t i = skip; i < events.size(); ++i) {
-      tail.Append(EventToJson(events[i]));
+      std::string text = "{";
+      AppendTraceEventMembers(&text, events[i]);
+      text += '}';
+      Result<JsonValue> entry = JsonValue::Parse(text);
+      VOD_CHECK(entry.ok());
+      tail.Append(std::move(entry).value());
     }
     dropped += skip;  // Tail-capping drops count as lost context too.
   }
@@ -115,13 +107,14 @@ Result<std::string> PostmortemSink::Capture(PostmortemReason reason,
   path += ".json";
 
   const std::string tmp = path + ".tmp";
-  if (Status st = WriteFile(tmp, doc.Dump()); !st.ok()) {
-    std::remove(tmp.c_str());
-    return st;
+  Status st = WriteFile(tmp, doc.Dump());
+  if (st.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    st = Status::Internal("cannot rename postmortem file to: " + path);
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (!st.ok()) {
     std::remove(tmp.c_str());
-    return Status::Internal("cannot rename postmortem file to: " + path);
+    if (write_status_.ok()) write_status_ = st;
+    return st;
   }
   paths_.push_back(path);
   return path;
@@ -142,6 +135,7 @@ void PostmortemSink::NoteDegradation(
                 "hiccups=%llu degraded_entries=%llu",
                 static_cast<unsigned long long>(hiccups),
                 static_cast<unsigned long long>(degraded_entries));
+  // A failed write is kept in write_status().
   (void)Capture(PostmortemReason::kHiccupThreshold, detail, now,
                 counters ? counters() : JsonValue::Object());
 }

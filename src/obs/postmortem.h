@@ -29,14 +29,17 @@ std::string_view PostmortemReasonName(PostmortemReason reason);
 
 /// Flight-data-recorder sink: on trigger, atomically writes one JSON file
 /// (`postmortem_<run>_<reason>.json`) containing
-///   - the tail of the attached EventTracer ring (the run's last moments),
+///   - the tail of the attached EventTracer ring (the run's last moments):
+///     `ring.tail` holds each event's JSONL object without "run" and
+///     "label" (`time`, `kind`, `disk`, `request` and the kind's payload
+///     keys from obs::kTraceKinds), with `ring.total` and `ring.dropped`,
 ///   - the counters of the run that captured it, as they stood then,
 ///   - the run configuration handed in by the harness (grid coords, seed,
 ///     fault spec, git SHA) as a JsonValue,
 ///   - the trigger reason, detail string, and simulated time.
 /// Everything in a dump describes its own run: the process-wide profiler
 /// is left out, since in a parallel sweep it counts every run's scopes.
-/// Schema id: "vodb-postmortem-v1" (validated by scripts/validate_trace.py).
+/// Schema id: "vodb-postmortem-v2" (validated by scripts/validate_trace.py).
 ///
 /// The sink is a pure observer: it only ever *reads* simulator state (via
 /// the tracer snapshot) and fires on paths that are already exceptional, so
@@ -74,7 +77,7 @@ class PostmortemSink {
   /// Takes a dump now, embedding `counters` (the capturing run's, as
   /// {"sim.<name>": value}) under "metrics". Returns the path written.
   /// Repeated captures get distinct "_2", "_3"... filename suffixes instead
-  /// of overwriting.
+  /// of overwriting. The first failed write is also kept in write_status().
   Result<std::string> Capture(
       PostmortemReason reason, const std::string& detail, Seconds sim_time,
       JsonValue counters = JsonValue::Object());
@@ -88,6 +91,9 @@ class PostmortemSink {
       const std::function<JsonValue()>& counters);
 
   bool triggered() const { return !paths_.empty(); }
+  /// OK, or the first capture that failed to write. The simulator's
+  /// triggers cannot return it, so the harness reads it here.
+  const Status& write_status() const { return write_status_; }
   const std::vector<std::string>& paths() const { return paths_; }
   const Options& options() const { return options_; }
 
@@ -97,6 +103,7 @@ class PostmortemSink {
   JsonValue config_;
   bool degradation_captured_ = false;
   std::vector<std::string> paths_;
+  Status write_status_;
 };
 
 }  // namespace vod::obs

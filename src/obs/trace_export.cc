@@ -30,33 +30,30 @@ void AppendF(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
-void AppendJsonlPayload(std::string& out, const TraceEvent& ev) {
-  switch (ev.kind) {
-    case TraceEventKind::kAdmit:
-      AppendF(out, ",\"n\":%d", ev.n);
-      break;
-    case TraceEventKind::kAllocation:
-      AppendF(out, ",\"n\":%d,\"k\":%d,\"buffer_bits\":%.1f,"
-                   "\"usage_period\":%.6f",
-              ev.n, ev.k, ToBits(ev.bits), ToSeconds(ev.usage_period));
-      break;
-    case TraceEventKind::kServiceStart:
-    case TraceEventKind::kServiceEnd:
-      AppendF(out, ",\"bits\":%.1f,\"seek\":%.6f,\"rotation\":%.6f,"
-                   "\"transfer\":%.6f",
-              ToBits(ev.bits), ToSeconds(ev.seek), ToSeconds(ev.rotation),
-              ToSeconds(ev.transfer));
-      break;
-    case TraceEventKind::kReadFault:
-      AppendF(out, ",\"seek\":%.6f,\"rotation\":%.6f", ToSeconds(ev.seek),
-              ToSeconds(ev.rotation));
-      break;
-    default:
-      break;
+/// The one payload writer: `,"<key>":<value>` for each field of `ev`'s
+/// kTraceKinds row, in kTraceFields order, formatted by unit (counts as
+/// integers, bits to 0.1 bit, seconds to 1 µs). JSONL lines, Chrome event
+/// args and postmortem tails all carry their payload through it.
+void AppendTracePayload(std::string* out, const TraceEvent& ev) {
+  for (const TraceFieldRow& f : kTraceFields) {
+    if (!TraceKindHas(ev.kind, f.field)) continue;
+    AppendF(*out,
+            f.unit == TraceUnit::kCount  ? ",\"%.*s\":%.0f"
+            : f.unit == TraceUnit::kBits ? ",\"%.*s\":%.1f"
+                                         : ",\"%.*s\":%.6f",
+            static_cast<int>(f.name.size()), f.name.data(), f.read(ev));
   }
 }
 
 }  // namespace
+
+void AppendTraceEventMembers(std::string* out, const TraceEvent& ev) {
+  AppendF(*out, "\"time\":%.6f,\"kind\":\"", ToSeconds(ev.time));
+  *out += TraceEventKindName(ev.kind);
+  AppendF(*out, "\",\"disk\":%d,\"request\":%" PRIu64,
+          static_cast<int>(ev.disk), ev.request);
+  AppendTracePayload(out, ev);
+}
 
 std::string ToJsonl(const std::vector<TraceRun>& runs) {
   std::string out;
@@ -64,11 +61,8 @@ std::string ToJsonl(const std::vector<TraceRun>& runs) {
     for (const TraceEvent& ev : run.events) {
       AppendF(out, "{\"run\":%d,\"label\":", run.pid);
       AppendJsonString(&out, run.label);
-      AppendF(out, ",\"time\":%.6f,\"kind\":\"", ToSeconds(ev.time));
-      out += TraceEventKindName(ev.kind);
-      AppendF(out, "\",\"disk\":%d,\"request\":%" PRIu64,
-              static_cast<int>(ev.disk), ev.request);
-      AppendJsonlPayload(out, ev);
+      out += ',';
+      AppendTraceEventMembers(&out, ev);
       out += "}\n";
     }
   }
@@ -170,17 +164,37 @@ std::string ToChromeTraceJson(const std::vector<TraceRun>& runs,
       flush_spans_until(ts);
       const int disk = static_cast<int>(ev.disk);
       std::string e;
+      if (ev.kind == TraceEventKind::kServiceEnd) {
+        // An end whose begin fell off the ring buffer has no open slice;
+        // drop it so B/E stay balanced.
+        if (!disk_slice_open[disk]) continue;
+        disk_slice_open[disk] = false;
+        AppendF(e, "{\"ph\":\"E\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f}",
+                run.pid, disk, ts);
+        emit(e);
+        continue;
+      }
+      // A service start opens its disk's "service" slice; every other kind
+      // is an instant on the requests track, named by its kind. Either way
+      // the args are the request and the kind's payload.
+      if (ev.kind == TraceEventKind::kServiceStart) {
+        AppendF(e, "{\"ph\":\"B\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
+                   "\"name\":\"service\",\"cat\":\"disk\"",
+                run.pid, disk, ts);
+      } else {
+        AppendF(e, "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
+                   "\"s\":\"t\",\"name\":\"",
+                run.pid, kLifecycleTid, ts);
+        e += TraceEventKindName(ev.kind);
+        e += "\",\"cat\":\"lifecycle\"";
+      }
+      AppendF(e, ",\"args\":{\"request\":%" PRIu64, ev.request);
+      AppendTracePayload(&e, ev);
+      e += "}}";
+      emit(e);
+
       switch (ev.kind) {
         case TraceEventKind::kServiceStart: {
-          AppendF(e, "{\"ph\":\"B\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                     "\"name\":\"service\",\"cat\":\"disk\",\"args\":{"
-                     "\"request\":%" PRIu64 ",\"bits\":%.1f,"
-                     "\"seek_ms\":%.3f,\"rotation_ms\":%.3f,"
-                     "\"transfer_ms\":%.3f}}",
-                  run.pid, disk, ts, ev.request, ToBits(ev.bits),
-                  ToMilliseconds(ev.seek), ToMilliseconds(ev.rotation),
-                  ToMilliseconds(ev.transfer));
-          emit(e);
           disk_slice_open[disk] = true;
           // Flow chain across this request's service slices.
           const int total = service_starts[ev.request];
@@ -199,22 +213,7 @@ std::string ToChromeTraceJson(const std::vector<TraceRun>& runs,
           }
           break;
         }
-        case TraceEventKind::kServiceEnd: {
-          // An end whose begin fell off the ring buffer has no open slice;
-          // drop it so B/E stay balanced.
-          if (!disk_slice_open[disk]) break;
-          disk_slice_open[disk] = false;
-          AppendF(e, "{\"ph\":\"E\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f}",
-                  run.pid, disk, ts);
-          emit(e);
-          break;
-        }
         case TraceEventKind::kAdmit: {
-          AppendF(e, "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                     "\"s\":\"t\",\"name\":\"admit\",\"cat\":\"lifecycle\","
-                     "\"args\":{\"request\":%" PRIu64 ",\"n\":%d}}",
-                  run.pid, kLifecycleTid, ts, ev.request, ev.n);
-          emit(e);
           std::string b;
           AppendF(b, "{\"ph\":\"b\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
                      "\"name\":\"request %" PRIu64 "\",\"cat\":\"request\","
@@ -227,13 +226,6 @@ std::string ToChromeTraceJson(const std::vector<TraceRun>& runs,
         }
         case TraceEventKind::kDeparture:
         case TraceEventKind::kCancel: {
-          AppendF(e, "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                     "\"s\":\"t\",\"name\":\"%s\",\"cat\":\"lifecycle\","
-                     "\"args\":{\"request\":%" PRIu64 "}}",
-                  run.pid, kLifecycleTid, ts,
-                  ev.kind == TraceEventKind::kCancel ? "cancel" : "departure",
-                  ev.request);
-          emit(e);
           if (async_open.erase(ev.request) > 0) {
             std::string c;
             AppendF(c, "{\"ph\":\"e\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
@@ -245,29 +237,8 @@ std::string ToChromeTraceJson(const std::vector<TraceRun>& runs,
           }
           break;
         }
-        case TraceEventKind::kAllocation: {
-          AppendF(e, "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                     "\"s\":\"t\",\"name\":\"allocation\","
-                     "\"cat\":\"lifecycle\",\"args\":{"
-                     "\"request\":%" PRIu64 ",\"n\":%d,\"k\":%d,"
-                     "\"buffer_mbit\":%.3f,\"usage_period_s\":%.3f}}",
-                  run.pid, kLifecycleTid, ts, ev.request, ev.n, ev.k,
-                  ToMegabits(ev.bits), ToSeconds(ev.usage_period));
-          emit(e);
+        default:
           break;
-        }
-        default: {
-          // arrival / defer / reject_* / starvation: plain instants.
-          AppendF(e, "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                     "\"s\":\"t\",\"name\":\"",
-                  run.pid, kLifecycleTid, ts);
-          e += TraceEventKindName(ev.kind);
-          AppendF(e, "\",\"cat\":\"lifecycle\","
-                     "\"args\":{\"request\":%" PRIu64 "}}",
-                  ev.request);
-          emit(e);
-          break;
-        }
       }
     }
 

@@ -26,12 +26,20 @@ struct TraceRun {
 /// keeps up to 65,536 events, and a tree of them would cost far more memory
 /// than the text. Labels are quoted through AppendJsonString
 /// (common/json.h), the escaper JsonValue::Dump uses.
-///
+
+/// Appends `ev` as the members of a JSON object, without braces:
+///   "time":T,"kind":K,"disk":D,"request":R <payload>
+/// Time is simulated seconds; the payload is a key per field of the kind's
+/// kTraceKinds row, in the field's unit. A JSONL line is these after "run"
+/// and "label"; a postmortem tail entry is exactly these. Chrome event
+/// args carry the same payload.
+void AppendTraceEventMembers(std::string* out, const TraceEvent& ev);
+
 /// JSONL export: one JSON object per line —
 ///   {"run":0,"label":...,"time":...,"kind":"service_start","disk":0,
-///    "request":17, <kind-specific payload>}
-/// Time is simulated seconds. Events keep tracer order (time-monotonic per
-/// run), so consumers can stream without sorting.
+///    "request":17 <payload>}
+/// Events keep tracer order (time-monotonic per run), so consumers can
+/// stream without sorting.
 std::string ToJsonl(const std::vector<TraceRun>& runs);
 
 /// Exporter knobs beyond the default layout.
@@ -52,9 +60,9 @@ inline constexpr int kSpanTrackTidBase = 2000;
 ///   - a process_name metadata event whose args carry the label and
 ///     "dropped_events" (TraceRun::dropped),
 ///   - one named track per disk carrying B/E "service" slices whose args
-///     hold the seek/rotation/transfer breakdown,
-///   - a "requests" track with instants for arrival/admit/defer/reject/
-///     allocation/starvation/cancel/departure,
+///     are the request and service_start's payload,
+///   - a "requests" track with one instant per event of every other kind,
+///     named by the kind, whose args are the request and the payload,
 ///   - an async "request r<id>" span from admission to departure,
 ///   - flow arrows (s/t/f) chaining each request's service slices,
 ///   - with options.spans, per-stream "X" span tracks (cat "span").

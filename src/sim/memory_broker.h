@@ -67,7 +67,7 @@ class AnalyticMemoryBroker final : public MemoryBroker {
   void OnState(int disk, int n, int k) override;
   [[nodiscard]] Bits ReservedMemory() const override;
   /// The configured budget scaled by any memory-squeeze fault window open
-  /// at the broker clock (nominal_capacity() without an injector). Already
+  /// at the broker clock (the budget itself without an injector). Already
   /// admitted streams are grandfathered — a squeeze only gates growth.
   [[nodiscard]] Bits Capacity() const override;
   void AdvanceTo(Seconds now) override;
@@ -77,8 +77,6 @@ class AnalyticMemoryBroker final : public MemoryBroker {
   void AttachInjector(const fault::Injector* injector) {
     injector_ = injector;
   }
-
-  [[nodiscard]] Bits nominal_capacity() const { return capacity_; }
 
   /// Memory the model assigns to one disk at (n, k); 0 when n <= 0, n
   /// clamps to N and k (>= 0) to N − n. A read of the table, which is

@@ -39,7 +39,9 @@ struct SimCounters {
   long rejected_capacity = 0;  ///< Cause: fully loaded disk (n == N).
   long rejected_memory = 0;    ///< Cause: shared memory budget exhausted.
   long rejected_invalid = 0;   ///< Cause: nothing to play at that position.
-  long deferred_admissions = 0;  ///< Assumption-1 deferrals that later got in.
+  /// Requests deferred at least once (Assumption 1); each is later
+  /// admitted or rejected, so it is not a third outcome of an arrival.
+  long deferred_admissions = 0;
   long completed = 0;
   long cancelled = 0;  ///< VCR cancellations (Sec. 1: reposition = cancel+new).
 

@@ -88,17 +88,11 @@ void MultiDiskSimulator::RunToCompletion() {
 void MultiDiskSimulator::RunToCompletionSharded(
     const ParallelForFn& parallel_for, Seconds epoch) {
   VOD_CHECK(epoch > Seconds(0.0));
-  // Anything that couples disks mid-epoch breaks thread-count determinism:
-  // an injector makes capacity a function of the broker's (shared, racy)
-  // clock; the tracer and the postmortem sink are single-producer objects
-  // shared across disks. Reject them up front rather than produce runs
-  // that depend on worker interleaving.
-  // Once per run, not per event: these gate entry, so they stay fatal in
-  // release builds too.
+  // An injector makes capacity a function of the broker's (shared, racy)
+  // clock, so runs would depend on worker interleaving: reject it up front.
+  // Once per run, not per event, so it stays fatal in release builds too.
   for (const auto& s : sims_) {
     VOD_CHECK(s->config().injector == nullptr);  // vodb-lint: allow(check-in-hot-loop)
-    VOD_CHECK(s->tracer() == nullptr);           // vodb-lint: allow(check-in-hot-loop)
-    VOD_CHECK(s->postmortem() == nullptr);       // vodb-lint: allow(check-in-hot-loop)
   }
   const std::size_t disks = sims_.size();
   for (;;) {
@@ -148,20 +142,6 @@ SimCounters MultiDiskSimulator::Totals() const {
     }
   }
   return total;
-}
-
-void MultiDiskSimulator::set_tracer(obs::EventTracer* tracer) {
-  for (const auto& s : sims_) s->set_tracer(tracer);
-}
-
-void MultiDiskSimulator::set_postmortem(obs::PostmortemSink* sink) {
-  for (const auto& s : sims_) s->set_postmortem(sink);
-}
-
-void MultiDiskSimulator::set_timeseries(int disk,
-                                        obs::TimeseriesRecorder* recorder) {
-  VOD_CHECK(disk >= 0 && disk < disk_count());
-  sims_[static_cast<std::size_t>(disk)]->set_timeseries(recorder);
 }
 
 }  // namespace vod::sim

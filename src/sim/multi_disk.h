@@ -60,14 +60,6 @@ class MultiDiskSimulator {
   const VodSimulator& sim(int disk) const { return *sims_[size_t(disk)]; }
   const MemoryBroker& broker() const { return *broker_; }
 
-  /// Observer attachment, mirroring VodSimulator's single-disk setters.
-  /// The tracer and postmortem sink are shared (events carry disk ids, and
-  /// one black box per server is the point); telemetry recorders are
-  /// per-disk (each disk samples its own event loop and busy fraction).
-  void set_tracer(obs::EventTracer* tracer);
-  void set_postmortem(obs::PostmortemSink* sink);
-  void set_timeseries(int disk, obs::TimeseriesRecorder* recorder);
-
   /// System-wide concurrency over time (sum across disks).
   StepTimeSeries TotalConcurrency() const;
   /// Peak of the summed concurrency.

@@ -253,6 +253,7 @@ void VodSimulator::set_postmortem(obs::PostmortemSink* sink) {
     if (tracer_ != nullptr) sink->set_tracer(tracer_);
     // Capture-then-fail: dump flight-recorder state before the auditor's
     // handler (by default: abort) runs.
+    // A failed write is kept in the sink's write_status().
     auditor_.set_violation_observer([this](const InvariantViolation& v) {
       if (postmortem_ == nullptr) return;
       (void)postmortem_->Capture(obs::PostmortemReason::kInvariantViolation,
@@ -291,10 +292,7 @@ obs::TraceEvent VodSimulator::TraceStamp(TraceKind kind, RequestId id) const {
   ev.kind = kind;
   ev.disk = config_.disk_id;
   ev.request = id;
-  if (kind == TraceKind::kAdmit || kind == TraceKind::kDefer ||
-      kind == TraceKind::kRejectCapacity || kind == TraceKind::kRejectMemory) {
-    ev.n = allocator_->active_count();
-  }
+  if (obs::TraceKindHas(kind, obs::kFieldN)) ev.n = allocator_->active_count();
   return ev;
 }
 

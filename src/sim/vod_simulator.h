@@ -151,7 +151,6 @@ class VodSimulator : public sched::SchedulerContext {
   /// outlive the simulator. It is a pure observer: no metric or golden CSV
   /// changes by attaching one, and a run without one builds no event.
   void set_tracer(obs::EventTracer* tracer) { tracer_ = tracer; }
-  obs::EventTracer* tracer() const { return tracer_; }
 
   /// Attaches a postmortem sink (nullptr detaches). The simulator arms the
   /// auditor's capture-then-fail observer (dump before the violation
@@ -160,7 +159,6 @@ class VodSimulator : public sched::SchedulerContext {
   /// the dump. Pure observer: the sink only ever reads state, and only on
   /// already-exceptional paths.
   void set_postmortem(obs::PostmortemSink* sink);
-  obs::PostmortemSink* postmortem() const { return postmortem_; }
 
   /// Attaches a sim-time telemetry recorder (nullptr detaches). Sampled
   /// after each dispatched event when a bucket boundary has passed; all
@@ -168,7 +166,6 @@ class VodSimulator : public sched::SchedulerContext {
   void set_timeseries(obs::TimeseriesRecorder* recorder) {
     timeseries_ = recorder;
   }
-  obs::TimeseriesRecorder* timeseries() const { return timeseries_; }
 
   const SimMetrics& metrics() const { return metrics_; }
   const SimConfig& config() const { return config_; }
@@ -327,7 +324,7 @@ class VodSimulator : public sched::SchedulerContext {
   void SampleTimeseries();
 
   /// An event of `kind` about request `id`, stamped with the clock and this
-  /// disk; the admission kinds also carry the load `n`.
+  /// disk, and with the load `n` when the kind's kTraceKinds row has it.
   obs::TraceEvent TraceStamp(obs::TraceEventKind kind, RequestId id) const;
   /// Emits TraceStamp(kind, id) when a tracer is attached; TraceService adds
   /// a read's size and seek/rotation/transfer breakdown.

@@ -412,5 +412,17 @@ TEST(TableTest, CsvAndJsonEmission) {
             "]\n");
 }
 
+/// A table sent to a full device fails instead of vanishing: Write flushes,
+/// so the failure shows even when the text fits the stream's buffer.
+TEST(TableTest, WriteToFullDeviceFails) {
+  std::FILE* full = std::fopen("/dev/full", "w");
+  if (full == nullptr) GTEST_SKIP() << "no /dev/full";
+  Table t({"method", "n"});
+  t.AddRow({"RoundRobin", "8"});
+  EXPECT_FALSE(t.Write(full, /*json=*/false).ok());
+  EXPECT_FALSE(t.Write(full, /*json=*/true).ok());
+  std::fclose(full);
+}
+
 }  // namespace
 }  // namespace vod::exp

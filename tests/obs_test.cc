@@ -11,17 +11,23 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <latch>
+#include <map>
 #include <random>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "obs/clock.h"
 #include "obs/event_tracer.h"
 #include "obs/histogram.h"
+#include "obs/postmortem.h"
 #include "obs/profile.h"
 #include "obs/progress.h"
 #include "obs/span_tracker.h"
@@ -438,6 +444,138 @@ TEST(TraceExportTest, ChromeJsonHasBalancedSlicesAndNamedTracks) {
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"disk 0\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"requests\""), std::string::npos);
+}
+
+/// The payload each kind carries, written out here on purpose, apart from
+/// kTraceKinds, so that a changed row fails this test.
+const std::map<std::string, std::set<std::string>> kDocumentedPayload = {
+    {"arrival", {}},
+    {"admit", {"n"}},
+    {"defer", {"n"}},
+    {"reject_capacity", {"n"}},
+    {"reject_memory", {"n"}},
+    {"reject_invalid", {}},
+    {"allocation", {"n", "k", "bits", "usage_period"}},
+    {"service_start", {"bits", "seek", "rotation", "transfer"}},
+    {"service_end", {"bits", "seek", "rotation", "transfer"}},
+    {"starvation", {}},
+    {"departure", {}},
+    {"cancel", {}},
+    {"read_fault", {"seek", "rotation"}},
+    {"hiccup", {}},
+    {"degraded", {}},
+    {"recovered", {}},
+};
+
+/// One event of every kind, in enum order, with every payload field set to
+/// a value that prints exactly.
+std::vector<TraceEvent> OneEventOfEachKind() {
+  std::vector<TraceEvent> events;
+  for (int i = 0; i < kTraceEventKindCount; ++i) {
+    TraceEvent ev = Ev(static_cast<TraceEventKind>(i),
+                       Seconds(static_cast<double>(i)), 10);
+    ev.n = 3;
+    ev.k = 2;
+    ev.bits = Bits(1000.5);
+    ev.usage_period = Seconds(1.5);
+    ev.seek = Seconds(0.25);
+    ev.rotation = Seconds(0.125);
+    ev.transfer = Seconds(0.0625);
+    events.push_back(ev);
+  }
+  return events;
+}
+
+/// Checks that `object` holds exactly the `base` keys and the payload of
+/// `kind`'s row, and that each payload value is the field's reading.
+void ExpectExactPayload(const JsonValue& object, const TraceEvent& ev,
+                        const std::set<std::string>& base,
+                        const std::string& where) {
+  const std::string name(TraceEventKindName(ev.kind));
+  SCOPED_TRACE(where + " " + name);
+  std::set<std::string> payload;
+  for (const auto& [key, value] : object.Fields()) {
+    if (base.count(key) == 0) payload.insert(key);
+  }
+  std::set<std::string> row;
+  for (const TraceFieldRow& f : kTraceFields) {
+    if (TraceKindHas(ev.kind, f.field)) {
+      row.insert(std::string(f.name));
+      const JsonValue* value = object.Find(std::string(f.name));
+      ASSERT_NE(value, nullptr) << f.name;
+      EXPECT_EQ(value->AsNumber(), f.read(ev)) << f.name;
+    }
+  }
+  EXPECT_EQ(payload, row);
+  EXPECT_EQ(payload, kDocumentedPayload.at(name));
+}
+
+TEST(TraceExportTest, EveryKindCarriesExactlyItsRowsPayload) {
+  TraceRun run;
+  run.label = "every kind";
+  run.events = OneEventOfEachKind();
+  ASSERT_EQ(kDocumentedPayload.size(), run.events.size());
+
+  // JSONL: one line per event, in order.
+  std::istringstream lines(ToJsonl({run}));
+  std::string line;
+  std::size_t i = 0;
+  for (; std::getline(lines, line); ++i) {
+    ASSERT_LT(i, run.events.size());
+    const Result<JsonValue> object = JsonValue::Parse(line);
+    ASSERT_TRUE(object.ok()) << line;
+    ExpectExactPayload(*object, run.events[i],
+                       {"run", "label", "time", "kind", "disk", "request"},
+                       "jsonl");
+  }
+  EXPECT_EQ(i, run.events.size());
+
+  // Chrome: every kind but service_end is an instant named by its kind or
+  // the "service" slice a service_start opens, with its payload in args.
+  const Result<JsonValue> chrome = JsonValue::Parse(ToChromeTraceJson({run}));
+  ASSERT_TRUE(chrome.ok());
+  std::set<std::string> seen;
+  for (const JsonValue& e : chrome->Find("traceEvents")->Items()) {
+    const std::string ph = e.Find("ph")->AsString();
+    if (ph != "i" && ph != "B") continue;
+    const std::string name =
+        ph == "B" ? "service_start" : e.Find("name")->AsString();
+    EXPECT_TRUE(seen.insert(name).second) << name;
+    for (const TraceEvent& ev : run.events) {
+      if (TraceEventKindName(ev.kind) == name) {
+        ExpectExactPayload(*e.Find("args"), ev, {"request"}, "chrome");
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), run.events.size() - 1);
+  EXPECT_EQ(seen.count("service_end"), 0u);
+
+  // Postmortem tail: the JSONL objects without "run" and "label".
+  EventTracer tracer;
+  for (const TraceEvent& ev : run.events) tracer.Emit(ev);
+  PostmortemSink::Options opt;
+  opt.dir = ::testing::TempDir();
+  opt.run_label = "every_kind";
+  PostmortemSink sink(opt);
+  sink.set_tracer(&tracer);
+  const Result<std::string> path =
+      sink.Capture(PostmortemReason::kExplicit, "every kind", Seconds(16.0));
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  std::ifstream in(path.value());
+  std::ostringstream text;
+  text << in.rdbuf();
+  const Result<JsonValue> dump = JsonValue::Parse(text.str());
+  ASSERT_TRUE(dump.ok());
+  EXPECT_EQ(dump->Find("schema")->AsString(), "vodb-postmortem-v2");
+  const std::vector<JsonValue>& tail =
+      dump->Find("ring")->Find("tail")->Items();
+  ASSERT_EQ(tail.size(), run.events.size());
+  for (std::size_t j = 0; j < tail.size(); ++j) {
+    EXPECT_EQ(tail[j].Find("kind")->AsString(),
+              TraceEventKindName(run.events[j].kind));
+    ExpectExactPayload(tail[j], run.events[j],
+                       {"time", "kind", "disk", "request"}, "postmortem");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ TEST(PostmortemSinkTest, ExplicitCaptureWritesSchemaValidJson) {
             std::string::npos);
 
   const std::string doc = ReadFile(path.value());
-  EXPECT_NE(doc.find("\"schema\": \"vodb-postmortem-v1\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\": \"vodb-postmortem-v2\""), std::string::npos);
   EXPECT_NE(doc.find("\"reason\": \"explicit\""), std::string::npos);
   EXPECT_NE(doc.find("\"detail\": \"operator request\""), std::string::npos);
   EXPECT_NE(doc.find("\"sim_time_s\": 123.5"), std::string::npos);
@@ -157,9 +157,9 @@ TEST(PostmortemSinkTest, RingTailIsCappedAndCountsCapAsDropped) {
   // 6 tail-cap drops (the tracer itself dropped nothing).
   EXPECT_NE(doc.find("\"dropped\": 6"), std::string::npos);
   // Only the last 4 events made it; the 6th is gone, the 7th..10th present.
-  EXPECT_EQ(doc.find("\"time_s\": 6"), std::string::npos);
-  EXPECT_NE(doc.find("\"time_s\": 7"), std::string::npos);
-  EXPECT_NE(doc.find("\"time_s\": 10"), std::string::npos);
+  EXPECT_EQ(doc.find("\"time\": 6"), std::string::npos);
+  EXPECT_NE(doc.find("\"time\": 7"), std::string::npos);
+  EXPECT_NE(doc.find("\"time\": 10"), std::string::npos);
 }
 
 TEST(PostmortemSinkTest, CaptureFailsCleanlyOnMissingDirectory) {
@@ -170,6 +170,22 @@ TEST(PostmortemSinkTest, CaptureFailsCleanlyOnMissingDirectory) {
       sink.Capture(PostmortemReason::kExplicit, "x", Seconds(0.0));
   EXPECT_FALSE(path.ok());
   EXPECT_FALSE(sink.triggered());  // Failed writes don't count as dumps.
+  EXPECT_EQ(sink.write_status(), path.status());
+}
+
+/// The threshold trigger cannot return Capture's Status to the simulator
+/// that called it, so the sink keeps the failure for the harness to read.
+TEST(PostmortemSinkTest, DegradationCaptureIntoMissingDirectoryIsKept) {
+  PostmortemSink::Options opt;
+  opt.dir = ::testing::TempDir() + "vodb_postmortem_nonexistent/sub";
+  opt.hiccup_threshold = 1;
+  PostmortemSink sink(opt);
+  EXPECT_TRUE(sink.write_status().ok());
+  sink.NoteDegradation(1, 0, Seconds(10.0), nullptr);
+  EXPECT_FALSE(sink.triggered());
+  EXPECT_FALSE(sink.write_status().ok());
+  EXPECT_NE(sink.write_status().message().find("vodb_postmortem_nonexistent"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
