@@ -1,7 +1,7 @@
 // Microbenchmark suite over the simulator's hot paths (the profiler's
 // VODB_PROF_SCOPE table names them): BS_k(n) three ways (recurrence,
 // Theorem-1 closed form, and the O(N²) table's lookup and build — the
-// Sec. 3.3 ablation), BubbleUp insertion, the lazy scheduling decision,
+// Sec. 3.3 ablation), a 100-disk server's set-up, BubbleUp insertion, the lazy scheduling decision,
 // memory-broker admit/release, the seek-model γ(x) curve, event-queue
 // churn, the cost of one profiling scope, one fork-join dispatch on the
 // thread pool, and end-to-end RunDay throughput for one static and one
@@ -101,13 +101,30 @@ void BM_TableLookup(bk::State& state) {
 }
 
 // --- buffer_size_table_build: filling the whole O(N²) BS_k(n) table, the
-// one-off cost each dynamic allocator pays at construction. ---
+// one-off cost each dynamic server pays at construction. ---
 void BM_TableBuild(bk::State& state) {
   const core::AllocParams p = PaperParams();
   for (auto _ : state) {
     static_cast<void>(_);
     auto table = core::BufferSizeTable::Build(p);
     bk::DoNotOptimize(table);
+  }
+}
+
+// --- multi_disk_create: MultiDiskSimulator::Create of a 100-disk dynamic
+// Round-Robin server on a 300 MiB budget with T_log = 40 min, the wide
+// sharded day's: the set-up a server pays before its first event (one
+// shared BS_k(n) table, the broker's price table, every disk's state). ---
+void BM_MultiDiskCreate(bk::State& state) {
+  sim::SimConfig base;
+  base.method = core::ScheduleMethod::kRoundRobin;
+  base.scheme = sim::AllocScheme::kDynamic;
+  base.t_log = Minutes(40);
+  for (auto _ : state) {
+    static_cast<void>(_);
+    auto md = sim::MultiDiskSimulator::Create(base, 100, Mebibytes(300));
+    VOD_CHECK(md.ok());
+    bk::DoNotOptimize(md);
   }
 }
 
@@ -336,6 +353,7 @@ void RegisterAll(bk::Harness* harness) {
   harness->Register("theorem1_closed_form", BM_Theorem1ClosedForm);
   harness->Register("buffer_size_table_lookup", BM_TableLookup);
   harness->Register("buffer_size_table_build", BM_TableBuild);
+  harness->Register("multi_disk_create", BM_MultiDiskCreate);
   harness->Register("seek_gamma_eval", BM_SeekGamma);
   harness->Register("bubbleup_insert", BM_BubbleUpInsert);
   harness->Register("next_lazy", BM_NextLazy);
@@ -427,6 +445,7 @@ int Main(int argc, char** argv) {
   report.machine = bk::ProbeMachine();
   report.git_sha = bk::GitSha();
   report.build_type = bk::BuildType();
+  report.audit = bk::AuditCompiledIn();
 
   std::fprintf(stderr, "%-28s %12s %12s %8s %6s\n", "benchmark",
                "median ns/it", "mean ns/it", "cv", "reps");

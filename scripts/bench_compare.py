@@ -10,9 +10,11 @@ jitter by 8% must move by 3x8 = 24% before the gate trips, while a rock-
 steady one (cv ~ 0.5%) is held to the flat 10%. Improvements and sub-noise
 jitter always pass; a byte-identical rerun compares equal by construction.
 
-Cross-context guards: comparing reports from different CPU models or build
-types is meaningless, so such runs are reported but exit 0 (advisory)
-unless --strict-machine forces them to gate anyway. Benchmarks present in
+Cross-context guards: comparing reports from different CPU models, build
+types or audit settings (whether the invariant auditor was compiled in;
+a report without the "audit" field matches any) is meaningless, so such
+runs are reported but exit 0 (advisory) unless --strict-machine forces
+them to gate anyway. Benchmarks present in
 the baseline but missing from the candidate fail (a silently dropped
 benchmark is how a regression hides); new candidate benchmarks are noted.
 
@@ -72,6 +74,12 @@ def context_mismatches(base: dict, cand: dict) -> list[str]:
         notes.append(
             f"build_type differs: baseline {base.get('build_type')!r} vs "
             f"candidate {cand.get('build_type')!r}")
+    # Audited timings carry the auditor's tax. Reports written before the
+    # field existed do not say, so only two that both say can differ.
+    if "audit" in base and "audit" in cand and base["audit"] != cand["audit"]:
+        notes.append(
+            f"audit differs: baseline {base['audit']!r} vs "
+            f"candidate {cand['audit']!r}")
     return notes
 
 
@@ -88,7 +96,8 @@ def main() -> int:
                     help="noise multiplier: allowance = cv_mult * max(cv) "
                          "(default 3.0)")
     ap.add_argument("--strict-machine", action="store_true",
-                    help="gate even across differing cpu_model/build_type "
+                    help="gate even across differing cpu_model/build_type/"
+                         "audit "
                          "(default: such comparisons are advisory)")
     args = ap.parse_args()
     if args.threshold < 0 or args.cv_mult < 0:
@@ -139,7 +148,7 @@ def main() -> int:
             print(f"  {r}", file=sys.stderr)
         if advisory:
             print("bench_compare: ADVISORY ONLY — reports come from "
-                  "different machines/build types; exiting 0 "
+                  "different machines/build types/audit settings; exiting 0 "
                   "(use --strict-machine to gate anyway)", file=sys.stderr)
             return 0
         return 1

@@ -80,6 +80,14 @@ std::string BuildType() {
 #endif
 }
 
+bool AuditCompiledIn() {
+#if defined(VODB_AUDIT_ENABLED) && VODB_AUDIT_ENABLED
+  return true;
+#else
+  return false;
+#endif
+}
+
 std::string GitSha() {
   if (const char* env = std::getenv("VODB_GIT_SHA");
       env != nullptr && env[0] != '\0') {
@@ -122,6 +130,7 @@ JsonValue ReportToJson(const BenchReport& report) {
 
   doc.Set("git_sha", JsonValue::Str(report.git_sha));
   doc.Set("build_type", JsonValue::Str(report.build_type));
+  doc.Set("audit", JsonValue::Bool(report.audit));
 
   JsonValue benches = JsonValue::Array();
   for (const BenchResult& r : report.results) {

@@ -28,6 +28,11 @@ MachineInfo ProbeMachine();
 /// is meaningless; the gate warns on mismatch.
 std::string BuildType();
 
+/// Whether the invariant auditor was compiled in (VODB_AUDIT, which the root
+/// CMakeLists turns into VODB_AUDIT_ENABLED for every target). Audited
+/// timings carry the audit tax, so the gate lists a mismatch.
+bool AuditCompiledIn();
+
 /// `git rev-parse HEAD` (+ "-dirty" when the tree has modifications);
 /// "unknown" outside a git checkout. Overridable via $VODB_GIT_SHA for
 /// hermetic CI runs.
@@ -39,6 +44,7 @@ struct BenchReport {
   MachineInfo machine;
   std::string git_sha;
   std::string build_type;  ///< CMAKE_BUILD_TYPE the suite was compiled with.
+  bool audit = false;      ///< AuditCompiledIn() of the suite's build.
   std::vector<BenchResult> results;
 };
 

@@ -69,26 +69,22 @@ Result<AllocationDecision> StaticBufferAllocator::Preview(
 // DynamicBufferAllocator
 // ---------------------------------------------------------------------------
 
-DynamicBufferAllocator::DynamicBufferAllocator(const AllocParams& params,
-                                               Seconds t_log,
-                                               BufferSizeTable table)
-    : params_(params), table_(std::move(table)), estimator_(t_log),
+DynamicBufferAllocator::DynamicBufferAllocator(
+    std::shared_ptr<const BufferSizeTable> table, Seconds t_log)
+    : params_(table->params()), table_(std::move(table)), estimator_(t_log),
       // Until the first allocation, approximate the service period with the
       // lightest-load usage period: BS_α(1)/CR.
-      last_usage_period_(table_.GetUnchecked(1, params.alpha) / params.cr) {}
+      last_usage_period_(table_->GetUnchecked(1, params_.alpha) /
+                         params_.cr) {}
 
 Result<std::unique_ptr<DynamicBufferAllocator>> DynamicBufferAllocator::Create(
-    const AllocParams& params, Seconds t_log,
-    BufferSizeTable::DlForN dl_for_n) {
+    std::shared_ptr<const BufferSizeTable> table, Seconds t_log) {
+  if (table == nullptr) return Status::InvalidArgument("no BS_k(n) table");
   if (t_log <= Seconds(0)) {
     return Status::InvalidArgument("T_log must be > 0");
   }
-  Result<BufferSizeTable> table =
-      dl_for_n ? BufferSizeTable::Build(params, dl_for_n)
-               : BufferSizeTable::Build(params);
-  if (!table.ok()) return table.status();
-  return std::unique_ptr<DynamicBufferAllocator>(new DynamicBufferAllocator(
-      params, t_log, std::move(table.value())));
+  return std::unique_ptr<DynamicBufferAllocator>(
+      new DynamicBufferAllocator(std::move(table), t_log));
 }
 
 void DynamicBufferAllocator::NoteArrival(Seconds now) {
@@ -178,7 +174,7 @@ Result<AllocationDecision> DynamicBufferAllocator::Preview(Seconds now) const {
   k_c = std::max(k_c, 0);
 
   AllocationDecision d;
-  d.buffer_size = table_.GetUnchecked(n_c, k_c);
+  d.buffer_size = table_->GetUnchecked(n_c, k_c);
   d.n = n_c;
   d.k = k_c;
   d.usage_period = d.buffer_size / params_.cr;

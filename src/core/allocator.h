@@ -98,10 +98,10 @@ class StaticBufferAllocator final : public BufferAllocator {
 /// the precomputed BS_k(n) table.
 class DynamicBufferAllocator final : public BufferAllocator {
  public:
-  /// `dl_for_n` lets Sweep* vary DL with n (pass nullptr for constant DL).
+  /// Sizes buffers from `table`, which the allocator shares read-only (one
+  /// table serves every disk of a server) and whose params() it runs on.
   static Result<std::unique_ptr<DynamicBufferAllocator>> Create(
-      const AllocParams& params, Seconds t_log,
-      BufferSizeTable::DlForN dl_for_n = nullptr);
+      std::shared_ptr<const BufferSizeTable> table, Seconds t_log);
 
   void NoteArrival(Seconds now) override;
   Status Admit(RequestId id, Seconds now) override;
@@ -113,6 +113,9 @@ class DynamicBufferAllocator final : public BufferAllocator {
     return static_cast<int>(snapshots_.size());
   }
   [[nodiscard]] const AllocParams& params() const override { return params_; }
+
+  /// The BS_k(n) table buffers are sized from.
+  [[nodiscard]] const BufferSizeTable& table() const { return *table_; }
 
   /// The (n_i, k_i) snapshot the allocator recorded for `id` at its last
   /// allocation (for tests and invariant checks).
@@ -131,8 +134,8 @@ class DynamicBufferAllocator final : public BufferAllocator {
   }
 
  private:
-  DynamicBufferAllocator(const AllocParams& params, Seconds t_log,
-                         BufferSizeTable table);
+  DynamicBufferAllocator(std::shared_ptr<const BufferSizeTable> table,
+                         Seconds t_log);
 
   /// min_i over allocated snapshots of (n_i + k_i); INT_MAX when none.
   int MinNiPlusKi() const;
@@ -145,7 +148,9 @@ class DynamicBufferAllocator final : public BufferAllocator {
   void Retract(const Snapshot& s);
 
   AllocParams params_;
-  BufferSizeTable table_;
+  /// Read through, never copied, on the hot path: copying would bounce the
+  /// shared count between the sharded runner's workers.
+  std::shared_ptr<const BufferSizeTable> table_;
   ArrivalEstimator estimator_;
   std::map<RequestId, Snapshot> snapshots_;
   /// Multisets (value -> count) of n_i + k_i and of k_i over the allocated

@@ -1,8 +1,8 @@
 #include "core/closed_form.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
-#include <vector>
 
 namespace vod::core {
 namespace {
@@ -24,13 +24,8 @@ double StepCount(int n, int k, int alpha, int i) {
          0.5 * static_cast<double>(i - 1) * i * alpha;
 }
 
-}  // namespace
-
-Result<int> ExpansionSteps(const AllocParams& params, int n, int k) {
-  VOD_RETURN_IF_ERROR(ValidateNk(params, n, k));
-  if (n == params.n_max) {
-    return Status::OutOfRange("e is defined for n < N only");
-  }
+/// ExpansionSteps past its checks: valid params, 1 <= n < N, k >= 0.
+int Steps(const AllocParams& params, int n, int k) {
   const double a = static_cast<double>(params.alpha);
   const double kd = static_cast<double>(k);
   const double gap = static_cast<double>(params.n_max - n);
@@ -50,38 +45,59 @@ Result<int> ExpansionSteps(const AllocParams& params, int n, int k) {
   return ei;
 }
 
+}  // namespace
+
+Result<int> ExpansionSteps(const AllocParams& params, int n, int k) {
+  VOD_RETURN_IF_ERROR(ValidateNk(params, n, k));
+  if (n == params.n_max) {
+    return Status::OutOfRange("e is defined for n < N only");
+  }
+  return Steps(params, n, k);
+}
+
 Result<Bits> DynamicBufferSize(const AllocParams& params, int n, int k) {
   VOD_RETURN_IF_ERROR(ValidateNk(params, n, k));
+  PowersOfC powers(params);
+  return BufferSizeKernel(params, n, k, &powers);
+}
+
+const double* PowersOfC::UpTo(int e) {
+  const int have = static_cast<int>(pow_.size());
+  if (e >= have) {
+    pow_.resize(static_cast<std::size_t>(e) + 1);
+    for (int i = have; i <= e; ++i) {
+      pow_[static_cast<std::size_t>(i)] = std::pow(c_, i);
+    }
+  }
+  return pow_.data();
+}
+
+Bits BufferSizeKernel(const AllocParams& params, int n, int k,
+                      PowersOfC* powers) {
   const double big_n = static_cast<double>(params.n_max);
-  const Bits full = params.dl * big_n * params.cr * params.tr /
-                    (params.tr - big_n * params.cr);
-  if (n == params.n_max) return full;
-
-  Result<int> e_res = ExpansionSteps(params, n, k);
-  if (!e_res.ok()) return e_res.status();
-  const int e = e_res.value();
-  const double c = params.cr / params.tr;
-
-  // prefix[i] = Π_{j=1}^{i} f(j), prefix[0] = 1.
-  std::vector<double> prefix(static_cast<std::size_t>(e) + 1, 1.0);
-  for (int i = 1; i <= e; ++i) {
-    prefix[static_cast<std::size_t>(i)] =
-        prefix[static_cast<std::size_t>(i - 1)] *
-        StepCount(n, k, params.alpha, i);
+  if (n == params.n_max) {
+    return params.dl * big_n * params.cr * params.tr /
+           (params.tr - big_n * params.cr);
   }
+  const int e = Steps(params, n, k);
+  const double* pow_c = powers->UpTo(e);
 
-  // Term 1: c^e · Π_{i=1}^{e−1} f(i) · N²·TR/(TR − N·CR).
-  const double term1 = std::pow(c, e) * prefix[static_cast<std::size_t>(e - 1)] *
-                       big_n * big_n * params.tr /
-                       (params.tr - big_n * params.cr);
-  // Term 2: Σ_{i=0}^{e−2} c^i · Π_{j=1}^{i+1} f(j).
+  // Term 2: Σ_{i=0}^{e−2} c^i · Π_{j=1}^{i+1} f(j), each summand added as
+  // soon as its prefix product is known. The products and sums round as
+  // they would with every prefix stored first; the goldens pin these bits,
+  // so the order of operations stays.
+  double prefix = 1.0;
   double term2 = 0.0;
-  for (int i = 0; i <= e - 2; ++i) {
-    term2 += std::pow(c, i) * prefix[static_cast<std::size_t>(i + 1)];
+  for (int i = 1; i < e; ++i) {
+    prefix *= StepCount(n, k, params.alpha, i);
+    term2 += pow_c[i - 1] * prefix;
   }
+  // prefix is now Π_{j=1}^{e−1} f(j).
+  // Term 1: c^e · Π_{i=1}^{e−1} f(i) · N²·TR/(TR − N·CR).
+  const double term1 = pow_c[e] * prefix * big_n * big_n * params.tr /
+                       (params.tr - big_n * params.cr);
   // Term 3: c^{e−1} · N · Π_{j=1}^{e−1} f(j).
-  const double term3 = std::pow(c, e - 1) * big_n *
-                       prefix[static_cast<std::size_t>(e - 1)];
+  const double term3 = pow_c[e - 1] * big_n * prefix;
 
   return params.dl * params.cr * (term1 + term2 + term3);
 }

@@ -1,6 +1,8 @@
 #ifndef VODB_CORE_CLOSED_FORM_H_
 #define VODB_CORE_CLOSED_FORM_H_
 
+#include <vector>
+
 #include "common/status.h"
 #include "common/units.h"
 #include "core/params.h"
@@ -24,6 +26,31 @@ Result<int> ExpansionSteps(const AllocParams& params, int n, int k);
 /// recurrence (Eq. 10); see core/recurrence.h for the oracle it is verified
 /// against.
 Result<Bits> DynamicBufferSize(const AllocParams& params, int n, int k);
+
+/// The powers c^i = (CR/TR)^i that Theorem 1 multiplies by, each computed
+/// once with std::pow(c, i): one instance serves every (n, k, DL) of one
+/// (TR, CR), so Sec. 3.3's table fill pays each power once, not once per
+/// entry, and reads the same doubles a single evaluation computes.
+class PowersOfC {
+ public:
+  explicit PowersOfC(const AllocParams& params)
+      : c_(params.cr / params.tr) {}
+
+  /// c^0 .. c^e, computing the ones not yet asked for.
+  const double* UpTo(int e);
+
+ private:
+  double c_;
+  std::vector<double> pow_;  ///< pow_[i] = std::pow(c_, i).
+};
+
+/// Theorem 1's closed form without the checks: the one evaluation behind
+/// DynamicBufferSize and BufferSizeTable::Build (and, through the table,
+/// the memory broker's price table). Requires valid `params` with the CR
+/// and TR `powers` was made from, 1 <= n <= N and k >= 0. Returns exactly
+/// DynamicBufferSize(params, n, k).
+Bits BufferSizeKernel(const AllocParams& params, int n, int k,
+                      PowersOfC* powers);
 
 /// The usage period of a buffer of size BS: T = BS / CR (Eq. 8 with
 /// equality — minimal buffers hold exactly one usage period of data).

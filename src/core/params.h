@@ -29,6 +29,8 @@ struct AllocParams {
   int alpha = 1;         ///< α: estimation headroom (Assumption 2).
 
   Status Validate() const;
+
+  friend bool operator==(const AllocParams&, const AllocParams&) = default;
 };
 
 /// N from Eq. (1): the largest integer strictly below TR/CR.

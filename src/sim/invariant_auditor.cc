@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "core/closed_form.h"
@@ -212,9 +211,17 @@ void InvariantAuditor::CheckServiceSequence(const sched::SchedulerContext& ctx,
                                             const std::vector<RequestId>& seq,
                                             Seconds now) {
   ++checks_;
-  std::set<RequestId> seen;
-  for (RequestId id : seq) {
-    if (!seen.insert(id).second) {
+  // Duplicates show as equal neighbours in a sorted copy, kept in a member
+  // so a decision allocates nothing. Only a sequence that has one pays the
+  // in-order search that names the first repeat.
+  sorted_ids_.assign(seq.begin(), seq.end());
+  std::sort(sorted_ids_.begin(), sorted_ids_.end());
+  const bool has_duplicate =
+      std::adjacent_find(sorted_ids_.begin(), sorted_ids_.end()) !=
+      sorted_ids_.end();
+  for (auto it = seq.begin(); it != seq.end(); ++it) {
+    const RequestId id = *it;
+    if (has_duplicate && std::find(seq.begin(), it, id) != it) {
       Report("service-sequence", now,
              "request " + std::to_string(id) +
                  " appears twice in the service sequence");

@@ -132,6 +132,9 @@ class InvariantAuditor {
   std::map<RequestId, std::pair<Bits, Bits>> ledger_;  ///< delivered, consumed.
   /// Facts scratch for the two scheduler checks, reused across decisions.
   std::vector<sched::RequestFacts> facts_;
+  /// Sorted copy of a service sequence (CheckServiceSequence's duplicate
+  /// scan), reused across decisions.
+  std::vector<RequestId> sorted_ids_;
 };
 
 }  // namespace vod::sim

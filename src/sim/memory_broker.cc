@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "common/check.h"
+#include "core/buffer_size_table.h"
+#include "core/static_alloc.h"
 #include "fault/injector.h"
 
 namespace vod::sim {
@@ -18,6 +22,20 @@ std::vector<Bits> BuildPriceTable(const core::AllocParams& params,
   // cannot fail.
   VOD_CHECK(params.Validate().ok());
   VOD_CHECK(method != core::ScheduleMethod::kGss || g >= 1);
+  // Their evaluation, with each buffer size computed once: the dynamic price
+  // reads BS_k(n) from one Theorem 1 table fill and services on n + k
+  // slots, the static one reads BS(N) and services on N slots.
+  std::optional<core::BufferSizeTable> bs_k;
+  Bits bs_n;
+  if (use_dynamic) {
+    Result<core::BufferSizeTable> built = core::BufferSizeTable::Build(params);
+    VOD_CHECK(built.ok());
+    bs_k.emplace(std::move(built).value());
+  } else {
+    const Result<Bits> built = core::StaticSchemeBufferSize(params);
+    VOD_CHECK(built.ok());
+    bs_n = built.value();
+  }
   const int n_max = params.n_max;
   const std::size_t stride = static_cast<std::size_t>(n_max) + 1;
   std::vector<Bits> table(static_cast<std::size_t>(n_max) * stride);
@@ -26,12 +44,12 @@ std::vector<Bits> BuildPriceTable(const core::AllocParams& params,
     // Both requirements clamp k to N − n; the static one ignores k.
     const int last = use_dynamic ? n_max - n : 0;
     for (int k = 0; k <= last; ++k) {
-      const Result<Bits> m =
-          use_dynamic
-              ? core::DynamicMemoryRequirement(params, method, n, k, g)
-              : core::StaticMemoryRequirement(params, method, n, g);
-      VOD_DCHECK(m.ok());
-      row[k] = m.value();
+      row[k] = use_dynamic
+                   ? core::MemoryRequirementKernel(params, method,
+                                                   bs_k->GetUnchecked(n, k),
+                                                   n, n + k, g)
+                   : core::MemoryRequirementKernel(params, method, bs_n, n,
+                                                   n_max, g);
     }
     std::fill(row + last + 1, row + stride, row[last]);
   }

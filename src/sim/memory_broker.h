@@ -49,8 +49,10 @@ class MemoryBroker {
 /// and admits while the total fits `capacity` (Figs. 13–14).
 ///
 /// Sec. 3.3's precompute applied to Theorems 2–4: the constructor fills an
-/// O(N²) table of the price at every (n, k), and OnState caches each disk's
-/// current price, so every query is a lookup plus an O(disks) sum. Totals
+/// O(N²) table of the price at every (n, k), reading each BS_k(n) from one
+/// core::BufferSizeTable (DL constant at params.dl), and OnState caches each
+/// disk's current price, so every query is a lookup plus an O(disks) sum.
+/// Every price equals Dynamic/StaticMemoryRequirement bit for bit. Totals
 /// stay left-to-right folds over the cached prices in ascending disk order,
 /// bit-identical to summing fresh closed forms; a running total would drift
 /// in the low-order bits and could flip an admission that sits exactly on

@@ -28,6 +28,15 @@ Result<std::unique_ptr<MultiDiskSimulator>> MultiDiskSimulator::Create(
       MakeBroker(base, disk_count, memory_capacity);
   if (!made.ok()) return made.status();
   std::unique_ptr<AnalyticMemoryBroker> broker = std::move(made).value();
+  // The disks differ only in disk_id and seed, so one immutable BS_k(n)
+  // table sizes every disk's buffers (Sec. 3.3: computed once, looked up).
+  std::shared_ptr<const core::BufferSizeTable> table;
+  if (base.scheme == AllocScheme::kDynamic) {
+    Result<std::shared_ptr<const core::BufferSizeTable>> built =
+        BufferSizeTableFor(base);
+    if (!built.ok()) return built.status();
+    table = std::move(built).value();
+  }
 
   std::vector<std::unique_ptr<ShardBrokerView>> views;
   std::vector<std::unique_ptr<VodSimulator>> sims;
@@ -41,7 +50,7 @@ Result<std::unique_ptr<MultiDiskSimulator>> MultiDiskSimulator::Create(
     // epochs the view is a pure pass-through.
     views.push_back(std::make_unique<ShardBrokerView>(broker.get(), d));
     Result<std::unique_ptr<VodSimulator>> sim =
-        VodSimulator::Create(cfg, views.back().get());
+        VodSimulator::Create(cfg, views.back().get(), table);
     if (!sim.ok()) return sim.status();
     sims.push_back(std::move(sim.value()));
   }

@@ -16,7 +16,9 @@ namespace vod::sim {
 /// A VOD server with several disks sharing one memory budget (the setting
 /// of Figs. 13–14: 10 Barracuda disks, disk loads skewed by Zipf(θ)).
 /// Each disk runs its own VodSimulator; a shared AnalyticMemoryBroker
-/// prices every disk with the scheme's memory model and gates admission.
+/// prices every disk with the scheme's memory model and gates admission,
+/// and under the dynamic scheme every disk's allocator sizes buffers from
+/// one shared BS_k(n) table (BufferSizeTableFor).
 /// The event loops interleave on a single global clock.
 class MultiDiskSimulator {
  public:

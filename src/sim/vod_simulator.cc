@@ -63,6 +63,44 @@ Result<core::AllocParams> AllocParamsFor(const SimConfig& config) {
                                config.method, n_for_dl, config.alpha);
 }
 
+namespace {
+
+/// The DL row n of the dynamic scheme's BS_k(n) table is sized at: Sweep*'s
+/// varies with the in-service count (Table 2: γ(Cyln/n) + θ), every other
+/// method's is the params' constant.
+Seconds TableDl(const SimConfig& config, const core::AllocParams& params,
+                int n) {
+  return config.method == core::ScheduleMethod::kSweep
+             ? core::WorstDiskLatency(config.profile,
+                                      core::ScheduleMethod::kSweep, n)
+             : params.dl;
+}
+
+/// Whether `table` is the one BufferSizeTableFor(config) builds: its
+/// entries are a function of its params and its rows' DL alone.
+bool IsTableFor(const core::BufferSizeTable& table, const SimConfig& config,
+                const core::AllocParams& params) {
+  if (table.params() != params) return false;
+  for (int n = 1; n <= params.n_max; ++n) {
+    if (table.dl(n) != TableDl(config, params, n)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const core::BufferSizeTable>> BufferSizeTableFor(
+    const SimConfig& config) {
+  VOD_RETURN_IF_ERROR(config.Validate());
+  Result<core::AllocParams> params = AllocParamsFor(config);
+  if (!params.ok()) return params.status();
+  Result<core::BufferSizeTable> table = core::BufferSizeTable::Build(
+      *params, [&](int n) { return TableDl(config, *params, n); });
+  if (!table.ok()) return table.status();
+  return std::make_shared<const core::BufferSizeTable>(
+      std::move(table).value());
+}
+
 Result<std::unique_ptr<AnalyticMemoryBroker>> MakeBroker(
     const SimConfig& config, int disk_count, Bits capacity) {
   VOD_RETURN_IF_ERROR(config.Validate());
@@ -76,11 +114,22 @@ Result<std::unique_ptr<AnalyticMemoryBroker>> MakeBroker(
 }
 
 Result<std::unique_ptr<VodSimulator>> VodSimulator::Create(
-    const SimConfig& config, MemoryBroker* broker) {
+    const SimConfig& config, MemoryBroker* broker,
+    std::shared_ptr<const core::BufferSizeTable> table) {
   VOD_RETURN_IF_ERROR(config.Validate());
 
   Result<core::AllocParams> params = AllocParamsFor(config);
   if (!params.ok()) return params.status();
+  if (table != nullptr) {
+    if (config.scheme == AllocScheme::kStatic) {
+      return Status::InvalidArgument(
+          "the static scheme sizes buffers without a BS_k(n) table");
+    }
+    if (!IsTableFor(*table, config, *params)) {
+      return Status::InvalidArgument(
+          "the BS_k(n) table was built for another configuration");
+    }
+  }
 
   disk::VideoLayout layout(config.profile);
   const Bits video_size = config.video_length * config.consumption_rate;
@@ -97,17 +146,14 @@ Result<std::unique_ptr<VodSimulator>> VodSimulator::Create(
     if (!a.ok()) return a.status();
     allocator = std::move(a.value());
   } else {
-    // The dynamic Sweep* table additionally varies DL with n (Table 2).
-    core::BufferSizeTable::DlForN dl_for_n = nullptr;
-    if (config.method == core::ScheduleMethod::kSweep) {
-      const disk::DiskProfile profile = config.profile;
-      dl_for_n = [profile](int n) {
-        return core::WorstDiskLatency(profile, core::ScheduleMethod::kSweep,
-                                      n);
-      };
+    if (table == nullptr) {
+      Result<std::shared_ptr<const core::BufferSizeTable>> own =
+          BufferSizeTableFor(config);
+      if (!own.ok()) return own.status();
+      table = std::move(own).value();
     }
     Result<std::unique_ptr<core::DynamicBufferAllocator>> a =
-        core::DynamicBufferAllocator::Create(*params, config.t_log, dl_for_n);
+        core::DynamicBufferAllocator::Create(std::move(table), config.t_log);
     if (!a.ok()) return a.status();
     allocator = std::move(a.value());
   }
@@ -149,6 +195,12 @@ VodSimulator::VodSimulator(const SimConfig& config,
                             static_cast<std::uint64_t>(config.disk_id)) {
   metrics_.initial_latency_by_n.resize(
       static_cast<std::size_t>(alloc_params_.n_max) + 1);
+}
+
+const core::BufferSizeTable* VodSimulator::buffer_size_table() const {
+  const auto* dynamic =
+      dynamic_cast<const core::DynamicBufferAllocator*>(allocator_.get());
+  return dynamic == nullptr ? nullptr : &dynamic->table();
 }
 
 Status VodSimulator::ValidateArrival(const ArrivalEvent& ev) const {

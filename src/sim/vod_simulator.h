@@ -74,6 +74,14 @@ struct SimConfig {
 /// size g, every other method for N = MaxConcurrentRequests.
 Result<core::AllocParams> AllocParamsFor(const SimConfig& config);
 
+/// The BS_k(n) table the dynamic scheme sizes buffers from on a server with
+/// `config`: Theorem 1 on AllocParamsFor(config), with Sweep*'s DL varying
+/// with the in-service count n (Table 2: γ(Cyln/n) + θ per row). Immutable,
+/// so MultiDiskSimulator builds it once and every disk shares it. Validates
+/// `config` first.
+Result<std::shared_ptr<const core::BufferSizeTable>> BufferSizeTableFor(
+    const SimConfig& config);
+
 /// The memory broker of a server with `config`: an AnalyticMemoryBroker on
 /// AllocParamsFor(config) that prices `disk_count` disks against
 /// `capacity`, with config.injector attached when set (so a memsqueeze
@@ -92,9 +100,14 @@ Result<std::unique_ptr<AnalyticMemoryBroker>> MakeBroker(
 class VodSimulator : public sched::SchedulerContext {
  public:
   /// `broker` may be nullptr (no memory constraint). The broker must
-  /// outlive the simulator.
-  static Result<std::unique_ptr<VodSimulator>> Create(const SimConfig& config,
-                                                      MemoryBroker* broker);
+  /// outlive the simulator. Under the dynamic scheme, `table` is the
+  /// BufferSizeTableFor(config) to share (nullptr: build one); a table whose
+  /// params() differ from AllocParamsFor(config) or whose rows' DL differ
+  /// from that recipe's, or any table under the static scheme, is
+  /// InvalidArgument.
+  static Result<std::unique_ptr<VodSimulator>> Create(
+      const SimConfig& config, MemoryBroker* broker,
+      std::shared_ptr<const core::BufferSizeTable> table = nullptr);
 
   ~VodSimulator() override = default;
   VodSimulator(const VodSimulator&) = delete;
@@ -170,6 +183,9 @@ class VodSimulator : public sched::SchedulerContext {
   const SimMetrics& metrics() const { return metrics_; }
   const SimConfig& config() const { return config_; }
   const core::AllocParams& alloc_params() const { return alloc_params_; }
+  /// The BS_k(n) table the dynamic allocator sizes from; nullptr under the
+  /// static scheme, which sizes every buffer BS(N) without one.
+  const core::BufferSizeTable* buffer_size_table() const;
   int active_count() const { return allocator_->active_count(); }
   /// Events currently queued (arrivals not yet dispatched included).
   std::size_t event_count() const { return events_.size(); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
@@ -23,6 +24,16 @@ AllocParams SmallParams() {
                            ScheduleMethod::kRoundRobin, 0, 1);
   EXPECT_TRUE(p.ok());
   return p.value();  // N = 19.
+}
+
+/// A dynamic allocator over a table of its own, DL constant at p.dl.
+Result<std::unique_ptr<DynamicBufferAllocator>> MakeDynamic(
+    const AllocParams& p, Seconds t_log) {
+  Result<BufferSizeTable> table = BufferSizeTable::Build(p);
+  if (!table.ok()) return table.status();
+  return DynamicBufferAllocator::Create(
+      std::make_shared<const BufferSizeTable>(std::move(table).value()),
+      t_log);
 }
 
 // --- StaticBufferAllocator ---
@@ -79,7 +90,7 @@ TEST(StaticAllocatorTest, AllocateUnknownRequestFails) {
 
 TEST(DynamicAllocatorTest, FirstAllocationUsesAlphaEstimate) {
   const AllocParams p = SmallParams();
-  auto a = DynamicBufferAllocator::Create(p, Minutes(40));
+  auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   (*a)->NoteArrival(Seconds(0.0));
   ASSERT_TRUE((*a)->Admit(1, Seconds(0.0)).ok());
@@ -93,7 +104,7 @@ TEST(DynamicAllocatorTest, FirstAllocationUsesAlphaEstimate) {
 
 TEST(DynamicAllocatorTest, BufferSizeTracksLoad) {
   const AllocParams p = SmallParams();
-  auto a = DynamicBufferAllocator::Create(p, Minutes(40));
+  auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   Bits prev = Bits(0.0);
   for (int i = 1; i <= 10; ++i) {
@@ -115,7 +126,7 @@ TEST(DynamicAllocatorTest, BufferSizeTracksLoad) {
 TEST(DynamicAllocatorTest, Assumption2BoundsEstimateGrowth) {
   // k_c <= min_i(k_i) + α at every allocation.
   const AllocParams p = SmallParams();
-  auto a = DynamicBufferAllocator::Create(p, Minutes(40));
+  auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   // Create a burst so k_log would be large.
   for (int i = 0; i < 12; ++i) (*a)->NoteArrival(Seconds(i * 0.01));
@@ -130,7 +141,7 @@ TEST(DynamicAllocatorTest, Assumption2BoundsEstimateGrowth) {
 
 TEST(DynamicAllocatorTest, Assumption1DefersOverAdmission) {
   const AllocParams p = SmallParams();
-  auto a = DynamicBufferAllocator::Create(p, Minutes(40));
+  auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   // One serviced request with a small snapshot: n_1 = 1, k_1 = α = 1
   // (empty log → k_log = 0 → k_c = 1): n_1 + k_1 = 2.
@@ -151,7 +162,7 @@ TEST(DynamicAllocatorTest, Assumption1DefersOverAdmission) {
 
 TEST(DynamicAllocatorTest, EnforcementCanBeDisabled) {
   const AllocParams p = SmallParams();
-  auto a = DynamicBufferAllocator::Create(p, Minutes(40));
+  auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   (*a)->set_enforce_assumptions(false);
   ASSERT_TRUE((*a)->Admit(1, Seconds(0.0)).ok());
@@ -163,7 +174,7 @@ TEST(DynamicAllocatorTest, EnforcementCanBeDisabled) {
 
 TEST(DynamicAllocatorTest, MarkDrainedRetiresSnapshot) {
   const AllocParams p = SmallParams();
-  auto a = DynamicBufferAllocator::Create(p, Minutes(40));
+  auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE((*a)->Admit(1, Seconds(0.0)).ok());
   ASSERT_TRUE((*a)->Allocate(1, Seconds(0.0)).ok());
@@ -191,7 +202,7 @@ void FillToLoad(DynamicBufferAllocator* a, int target) {
 
 TEST(DynamicAllocatorTest, FullLoadRejects) {
   const AllocParams p = SmallParams();
-  auto a = DynamicBufferAllocator::Create(p, Minutes(40));
+  auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   FillToLoad(a->get(), p.n_max);
   EXPECT_EQ((*a)->Admit(999, Seconds(100.0)).code(), StatusCode::kCapacityExceeded);
@@ -199,7 +210,7 @@ TEST(DynamicAllocatorTest, FullLoadRejects) {
 
 TEST(DynamicAllocatorTest, FullLoadAllocatesStaticSize) {
   const AllocParams p = SmallParams();
-  auto a = DynamicBufferAllocator::Create(p, Minutes(40));
+  auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   FillToLoad(a->get(), p.n_max);
   auto d = (*a)->Allocate(1, Seconds(10.0));
@@ -211,7 +222,7 @@ TEST(DynamicAllocatorTest, FullLoadAllocatesStaticSize) {
 
 TEST(DynamicAllocatorTest, PreviewMatchesAllocateAndIsPure) {
   const AllocParams p = SmallParams();
-  auto a = DynamicBufferAllocator::Create(p, Minutes(40));
+  auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE((*a)->Admit(1, Seconds(0.0)).ok());
   auto preview1 = (*a)->Preview(Seconds(0.0));
@@ -247,7 +258,7 @@ TEST(DynamicAllocatorTest, MinimaTrackAdmitAllocateDrainRemove) {
   // rising past older snapshots' k_i and min k_i is what bounds k_c.
   const AllocParams p = SmallParams();
   const Seconds t_log = Minutes(40);
-  auto created = DynamicBufferAllocator::Create(p, t_log);
+  auto created = MakeDynamic(p, t_log);
   ASSERT_TRUE(created.ok());
   DynamicBufferAllocator& a = **created;
   auto table = BufferSizeTable::Build(p);
@@ -329,13 +340,14 @@ TEST(DynamicAllocatorTest, MinimaTrackAdmitAllocateDrainRemove) {
 }
 
 TEST(DynamicAllocatorTest, AllocateUnknownRequestFails) {
-  auto a = DynamicBufferAllocator::Create(SmallParams(), Minutes(40));
+  auto a = MakeDynamic(SmallParams(), Minutes(40));
   ASSERT_TRUE(a.ok());
   EXPECT_EQ((*a)->Allocate(77, Seconds(0.0)).status().code(), StatusCode::kNotFound);
 }
 
 TEST(DynamicAllocatorTest, CreateValidatesTLog) {
-  EXPECT_FALSE(DynamicBufferAllocator::Create(SmallParams(), Seconds(0.0)).ok());
+  EXPECT_FALSE(MakeDynamic(SmallParams(), Seconds(0.0)).ok());
+  EXPECT_FALSE(DynamicBufferAllocator::Create(nullptr, Minutes(40)).ok());
 }
 
 }  // namespace

@@ -9,7 +9,8 @@ Covers the acceptance matrix of the perf-gate:
   * jitter above it fails,
   * a benchmark dropped from the candidate fails,
   * cross-machine comparisons downgrade to advisory (exit 0) unless
-    --strict-machine is passed,
+    --strict-machine is passed, and so do reports whose audit settings
+    differ (a report without the field matches any),
   * malformed reports exit 2.
 """
 
@@ -26,8 +27,10 @@ SCRIPT = os.path.join(REPO_ROOT, "scripts", "bench_compare.py")
 
 
 def make_report(medians: dict[str, float], cv: float = 0.02,
-                cpu: str = "Test CPU", build: str = "Release") -> dict:
-    """A minimal vodb-bench-v1 report with the given per-benchmark medians."""
+                cpu: str = "Test CPU", build: str = "Release",
+                audit: bool | None = None) -> dict:
+    """A minimal vodb-bench-v1 report with the given per-benchmark medians
+    (with an "audit" field unless `audit` is None)."""
     benches = []
     for name, median in medians.items():
         benches.append({
@@ -43,7 +46,7 @@ def make_report(medians: dict[str, float], cv: float = 0.02,
                 "cv": cv,
             },
         })
-    return {
+    report = {
         "schema": "vodb-bench-v1",
         "machine": {
             "hostname": "testhost",
@@ -55,6 +58,9 @@ def make_report(medians: dict[str, float], cv: float = 0.02,
         "build_type": build,
         "benchmarks": benches,
     }
+    if audit is not None:
+        report["audit"] = audit
+    return report
 
 
 class BenchCompareTest(unittest.TestCase):
@@ -168,6 +174,29 @@ class BenchCompareTest(unittest.TestCase):
         proc = self.run_compare(base, cand)
         self.assertEqual(proc.returncode, 0)
         self.assertIn("build_type differs", proc.stderr)
+
+    def test_audit_mismatch_is_advisory(self):
+        base = self.write("base.json", make_report(self.BASE, audit=True))
+        slowed = {k: v * 2 for k, v in self.BASE.items()}
+        cand = self.write("cand.json", make_report(slowed, audit=False))
+        proc = self.run_compare(base, cand)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("audit differs", proc.stderr)
+        self.assertIn("ADVISORY", proc.stderr)
+        strict = self.run_compare(base, cand, "--strict-machine")
+        self.assertEqual(strict.returncode, 1)
+
+    def test_missing_audit_field_compares_as_before(self):
+        # A report without the field (the committed baseline predates it)
+        # matches either setting, so a regression against it still gates.
+        base = self.write("base.json", make_report(self.BASE))
+        slowed = {k: v * 2 for k, v in self.BASE.items()}
+        for audit in (True, False):
+            cand = self.write("cand.json", make_report(slowed, audit=audit))
+            proc = self.run_compare(base, cand)
+            self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+            self.assertNotIn("audit differs", proc.stderr)
+            self.assertNotIn("ADVISORY", proc.stderr)
 
     def test_malformed_reports_exit_2(self):
         good = self.write("good.json", make_report(self.BASE))

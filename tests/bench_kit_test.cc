@@ -227,6 +227,7 @@ BenchReport MakeReport() {
   report.machine.governor = "performance";
   report.git_sha = "deadbeef";
   report.build_type = "Release";
+  report.audit = true;
 
   BenchResult r;
   r.name = "table_lookup";
@@ -257,6 +258,7 @@ TEST(ReportTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(doc->Find("schema")->AsString(), "vodb-bench-v1");
   EXPECT_EQ(doc->Find("git_sha")->AsString(), "deadbeef");
   EXPECT_EQ(doc->Find("build_type")->AsString(), "Release");
+  EXPECT_EQ(doc->Find("audit")->Dump(), JsonValue::Bool(true).Dump());
   const JsonValue* machine = doc->Find("machine");
   ASSERT_NE(machine, nullptr);
   EXPECT_EQ(machine->Find("hostname")->AsString(), "host-1");
@@ -312,6 +314,11 @@ TEST(ReportTest, ProbeMachineAndGitShaAreNonEmpty) {
   EXPECT_FALSE(m.governor.empty());
   EXPECT_FALSE(GitSha().empty());
   EXPECT_FALSE(BuildType().empty());
+#if defined(VODB_AUDIT_ENABLED) && VODB_AUDIT_ENABLED
+  EXPECT_TRUE(AuditCompiledIn());
+#else
+  EXPECT_FALSE(AuditCompiledIn());
+#endif
 }
 
 // --- JsonValue: the one JSON writer ----------------------------------------

@@ -473,6 +473,35 @@ TEST(MultiDiskTest, AddArrivalsIsAllOrNothingAcrossDisks) {
   }
 }
 
+TEST(MultiDiskTest, DisksShareOneBufferSizeTable) {
+  // Sec. 3.3's table depends only on the server's parameters, so a dynamic
+  // server fills it once and every disk's allocator reads that one copy.
+  SimConfig base;
+  base.scheme = AllocScheme::kDynamic;
+  for (core::ScheduleMethod method :
+       {core::ScheduleMethod::kRoundRobin, core::ScheduleMethod::kSweep,
+        core::ScheduleMethod::kGss}) {
+    base.method = method;
+    auto md = MultiDiskSimulator::Create(base, /*disk_count=*/4,
+                                         Gibibytes(1));
+    ASSERT_TRUE(md.ok()) << md.status().ToString();
+    const core::BufferSizeTable* shared = (*md)->sim(0).buffer_size_table();
+    ASSERT_NE(shared, nullptr);
+    EXPECT_EQ(shared->params(), AllocParamsFor(base).value());
+    for (int d = 1; d < 4; ++d) {
+      EXPECT_EQ((*md)->sim(d).buffer_size_table(), shared)
+          << core::ScheduleMethodName(method) << " disk " << d;
+    }
+  }
+  // The static scheme sizes every buffer BS(N) and builds no table.
+  base.scheme = AllocScheme::kStatic;
+  auto md = MultiDiskSimulator::Create(base, /*disk_count=*/4, Gibibytes(1));
+  ASSERT_TRUE(md.ok()) << md.status().ToString();
+  for (int d = 0; d < 4; ++d) {
+    EXPECT_EQ((*md)->sim(d).buffer_size_table(), nullptr) << "disk " << d;
+  }
+}
+
 TEST(MultiDiskTest, CreateValidates) {
   SimConfig base;
   EXPECT_FALSE(MultiDiskSimulator::Create(base, 0, Gibibytes(1)).ok());

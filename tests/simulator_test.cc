@@ -277,6 +277,46 @@ TEST(SimulatorTest, ConfigValidation) {
   EXPECT_FALSE(VodSimulator::Create(cfg, nullptr).ok());
 }
 
+TEST(SimulatorTest, RefusesAnotherConfigurationsTable) {
+  const SimConfig cfg =
+      MakeConfig(ScheduleMethod::kRoundRobin, AllocScheme::kDynamic);
+  SimConfig other_method = cfg;
+  other_method.method = ScheduleMethod::kSweep;
+  SimConfig other_alpha = cfg;
+  other_alpha.alpha = 2;
+  SimConfig other_rate = cfg;
+  other_rate.consumption_rate = Mbps(3.0);
+  for (const SimConfig& other : {other_method, other_alpha, other_rate}) {
+    auto table = BufferSizeTableFor(other);
+    ASSERT_TRUE(table.ok());
+    EXPECT_EQ(VodSimulator::Create(cfg, nullptr, *table).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // GSS* with g = N sizes every row at Sweep*'s fully-loaded DL, so its
+  // table has Sweep*'s params but not its per-row DL(n).
+  const SimConfig sweep =
+      MakeConfig(ScheduleMethod::kSweep, AllocScheme::kDynamic);
+  SimConfig gss_n = sweep;
+  gss_n.method = ScheduleMethod::kGss;
+  gss_n.gss_group_size = AllocParamsFor(sweep)->n_max;
+  ASSERT_EQ(AllocParamsFor(gss_n).value(), AllocParamsFor(sweep).value());
+  auto gss_table = BufferSizeTableFor(gss_n);
+  ASSERT_TRUE(gss_table.ok());
+  EXPECT_EQ(VodSimulator::Create(sweep, nullptr, *gss_table).status().code(),
+            StatusCode::kInvalidArgument);
+  // Its own configuration's table is taken as given, not rebuilt.
+  auto own = BufferSizeTableFor(cfg);
+  ASSERT_TRUE(own.ok());
+  auto sim = VodSimulator::Create(cfg, nullptr, *own);
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+  EXPECT_EQ((*sim)->buffer_size_table(), own->get());
+  // The static scheme sizes buffers without one.
+  SimConfig static_cfg = cfg;
+  static_cfg.scheme = AllocScheme::kStatic;
+  EXPECT_EQ(VodSimulator::Create(static_cfg, nullptr, *own).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(SimulatorTest, MemoryUsageTrackedAndBounded) {
   auto arr = ModerateWorkload(42, /*total=*/60);
   ASSERT_TRUE(arr.ok());
