@@ -142,18 +142,17 @@ void BM_SeekGamma(bk::State& state) {
   }
 }
 
-// Minimal scheduler context: every request needs service and established
-// deadlines are far out. With a newcomer at the front, Next() takes the
-// BubbleUp branch, whose displacement scan stops at the first established
-// entry; without one, it takes the lazy branch over the whole sequence.
-// Facts() fills each entry in one step, as the simulator's override does.
+// Minimal scheduler context: established deadlines are far out. With a
+// newcomer at the front, Next() takes the BubbleUp branch, whose
+// displacement scan stops at the first established entry; without one, it
+// takes the lazy branch over the whole sequence. Facts() fills each entry
+// in one step, as the simulator's override does.
 class FlatContext final : public sched::SchedulerContext {
  public:
   explicit FlatContext(RequestId fresh) : fresh_(fresh) {}
   Seconds BufferDeadline(RequestId) const override { return Seconds(1e9); }
   bool NeverServiced(RequestId id) const override { return id == fresh_; }
   double CurrentCylinder(RequestId) const override { return 0; }
-  bool NeedsService(RequestId) const override { return true; }
   Seconds WorstServiceTime(RequestId) const override { return Seconds(0.5); }
   Seconds NewcomerReserve() const override { return Seconds(0.5); }
   void Facts(const std::vector<RequestId>& seq,

@@ -25,8 +25,11 @@ int main() {
     return 1;
   }
 
-  // A quiet start (2 viewers), then a burst of 10 arrivals within one
-  // second, then quiet again.
+  // A quiet start (2 viewers), then a burst of 10 arrivals 10 ms apart,
+  // then quiet again. The burst must be tight: a buffer is re-sized at each
+  // refill, and with arrivals 0.1 s apart every established buffer is
+  // re-sized at the new load between two arrivals, so the gate never
+  // defers.
   std::vector<sim::ArrivalEvent> arrivals;
   auto add = [&arrivals](double t, double viewing_min) {
     sim::ArrivalEvent ev;
@@ -37,7 +40,7 @@ int main() {
   };
   add(1.0, 20);
   add(30.0, 20);
-  for (int i = 0; i < 10; ++i) add(60.0 + 0.1 * i, 15);
+  for (int i = 0; i < 10; ++i) add(60.0 + 0.01 * i, 15);
 
   if (Status st = (*simulator)->AddArrivals(arrivals); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -27,39 +26,25 @@ Result<std::unique_ptr<StaticBufferAllocator>> StaticBufferAllocator::Create(
       new StaticBufferAllocator(params, bs.value()));
 }
 
-void StaticBufferAllocator::NoteArrival(Seconds /*now*/) {}
-
-Status StaticBufferAllocator::Admit(RequestId id, Seconds /*now*/) {
-  if (admitted_.count(id) > 0) {
-    return Status::FailedPrecondition("request already admitted");
-  }
-  if (active_count() >= params_.n_max) {
+Status StaticBufferAllocator::Admit() {
+  if (n_ >= params_.n_max) {
     return Status::CapacityExceeded("system fully loaded (n == N)");
   }
-  admitted_.insert(id);
+  ++n_;
   return Status::OK();
 }
 
-void StaticBufferAllocator::Remove(RequestId id) { admitted_.erase(id); }
+void StaticBufferAllocator::Remove(const Snapshot& /*snapshot*/) { --n_; }
 
-Result<AllocationDecision> StaticBufferAllocator::Allocate(RequestId id,
-                                                           Seconds /*now*/) {
-  if (admitted_.count(id) == 0) {
-    return Status::NotFound("request not admitted");
-  }
-  AllocationDecision d;
-  d.buffer_size = buffer_size_;
-  d.n = active_count();
-  d.k = 0;
-  d.usage_period = buffer_size_ / params_.cr;
-  return d;
+AllocationDecision StaticBufferAllocator::Allocate(Seconds now,
+                                                   Snapshot* /*snapshot*/) {
+  return Preview(now);
 }
 
-Result<AllocationDecision> StaticBufferAllocator::Preview(
-    Seconds /*now*/) const {
+AllocationDecision StaticBufferAllocator::Preview(Seconds /*now*/) const {
   AllocationDecision d;
   d.buffer_size = buffer_size_;
-  d.n = active_count();
+  d.n = n_;
   d.k = 0;
   d.usage_period = buffer_size_ / params_.cr;
   return d;
@@ -123,44 +108,36 @@ int DynamicBufferAllocator::MinKi() const {
   return ki_.empty() ? INT_MAX : ki_.begin()->first;
 }
 
-Status DynamicBufferAllocator::Admit(RequestId id, Seconds /*now*/) {
-  if (snapshots_.count(id) > 0) {
-    return Status::FailedPrecondition("request already admitted");
-  }
-  const int n = active_count();
-  if (n >= params_.n_max) {
+Status DynamicBufferAllocator::Admit() {
+  if (n_ >= params_.n_max) {
     return Status::CapacityExceeded("system fully loaded (n == N)");
   }
   // Assumption 1 (Procedure Admission_Control): admitting must keep
   // (n + 1) <= n_i + k_i for every in-service request i, otherwise buffers
   // already sized under the old inertia could underflow. Violations defer
   // the new request rather than rejecting it.
-  if (enforce_assumptions_ && n + 1 > MinNiPlusKi()) {
+  if (enforce_assumptions_ && n_ + 1 > MinNiPlusKi()) {
     return Status::Deferred("Assumption 1 would be violated; service later");
   }
-  snapshots_[id] = Snapshot{};
+  ++n_;
   return Status::OK();
 }
 
-void DynamicBufferAllocator::Remove(RequestId id) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) return;
-  Retract(it->second);
-  snapshots_.erase(it);
+void DynamicBufferAllocator::Remove(const Snapshot& snapshot) {
+  Retract(snapshot);
+  --n_;
 }
 
-void DynamicBufferAllocator::MarkDrained(RequestId id) {
-  auto it = snapshots_.find(id);
+void DynamicBufferAllocator::MarkDrained(Snapshot* snapshot) {
   // Drained requests keep their slot in n but no longer constrain the
   // inertia minima: they will never be re-serviced, so their old snapshot
   // carries no continuity obligation.
-  if (it == snapshots_.end()) return;
-  Retract(it->second);
-  it->second.allocated = false;
+  Retract(*snapshot);
+  snapshot->allocated = false;
 }
 
-Result<AllocationDecision> DynamicBufferAllocator::Preview(Seconds now) const {
-  const int n_c = std::max(1, active_count());
+AllocationDecision DynamicBufferAllocator::Preview(Seconds now) const {
+  const int n_c = std::max(1, n_);
   // Fig. 5 step 4: k_c = min(k_log + α, min_i(k_i + α)). The estimate is
   // deliberately *not* capped at N − n_c (the paper doesn't cap it either):
   // the buffer-size table saturates at the fully loaded size by itself, and
@@ -181,26 +158,14 @@ Result<AllocationDecision> DynamicBufferAllocator::Preview(Seconds now) const {
   return d;
 }
 
-Result<AllocationDecision> DynamicBufferAllocator::Allocate(RequestId id,
-                                                            Seconds now) {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) {
-    return Status::NotFound("request not admitted");
-  }
-  Result<AllocationDecision> d = Preview(now);
-  if (!d.ok()) return d.status();
-  Retract(it->second);
-  it->second = Snapshot{d->n, d->k, /*allocated=*/true};
-  Count(it->second);
-  last_usage_period_ = d->usage_period;
+AllocationDecision DynamicBufferAllocator::Allocate(Seconds now,
+                                                    Snapshot* snapshot) {
+  const AllocationDecision d = Preview(now);
+  Retract(*snapshot);
+  *snapshot = Snapshot{d.n, d.k, /*allocated=*/true};
+  Count(*snapshot);
+  last_usage_period_ = d.usage_period;
   return d;
-}
-
-Result<DynamicBufferAllocator::Snapshot> DynamicBufferAllocator::snapshot(
-    RequestId id) const {
-  auto it = snapshots_.find(id);
-  if (it == snapshots_.end()) return Status::NotFound("no such request");
-  return it->second;
 }
 
 }  // namespace vod::core

@@ -3,10 +3,8 @@
 
 #include <map>
 #include <memory>
-#include <set>
 
 #include "common/status.h"
-#include "common/types.h"
 #include "common/units.h"
 #include "core/arrival_estimator.h"
 #include "core/buffer_size_table.h"
@@ -22,11 +20,25 @@ struct AllocationDecision {
   Seconds usage_period;  ///< BS / CR — how long the buffer lasts.
 };
 
+/// The (n_i, k_i) a request's last allocation recorded (Fig. 5): the
+/// inertia Assumptions 1–2 hold later admissions and estimates to. The
+/// caller keeps one per admitted request, in its own request table, and
+/// hands it to every allocator call about that request.
+struct Snapshot {
+  int n = 0;
+  int k = 0;
+  /// True from the first sized buffer until the request drains or leaves;
+  /// only then does the snapshot constrain Assumptions 1–2.
+  bool allocated = false;
+};
+
 /// Buffer-allocation policy: decides admission of new requests and the size
 /// of each buffer handed to a request at its service time. Two
 /// implementations: the static scheme (Sec. 2.3 baseline) and the paper's
-/// dynamic scheme (Sec. 3). Stateful but not thread-safe: the VOD server
-/// drives it from a single scheduling loop.
+/// dynamic scheme (Sec. 3). It keeps no per-request state: n counts the
+/// admitted requests, and each request's Snapshot lives with the caller.
+/// Stateful but not thread-safe: the VOD server drives it from a single
+/// scheduling loop.
 class BufferAllocator {
  public:
   virtual ~BufferAllocator() = default;
@@ -36,53 +48,53 @@ class BufferAllocator {
   /// deferred or rejected.
   virtual void NoteArrival(Seconds now) = 0;
 
-  /// Attempts to admit a request. On success the request counts toward n
-  /// from now on. Errors:
+  /// Attempts to admit a request. On success it counts toward n from now
+  /// on, with a fresh (unallocated) Snapshot. Errors:
   ///   CapacityExceeded — n == N; the system cannot take more (reject).
   ///   Deferred — admitting now would violate Assumption 1; retry at the
   ///              next service completion (predict-and-enforce deferral).
-  virtual Status Admit(RequestId id, Seconds now) = 0;
+  virtual Status Admit() = 0;
 
-  /// Removes a departing (or rejected-after-admit) request.
-  virtual void Remove(RequestId id) = 0;
+  /// Removes a departing admitted request whose snapshot is `snapshot`.
+  virtual void Remove(const Snapshot& snapshot) = 0;
 
   /// Marks a request as fully delivered: it still counts toward n (it is
   /// viewing until its last buffer drains) but needs no more services, so
-  /// its last allocation's inertia snapshot stops constraining Assumptions
-  /// 1–2.
-  virtual void MarkDrained(RequestId id) = 0;
+  /// its last allocation's `*snapshot` stops constraining Assumptions 1–2.
+  virtual void MarkDrained(Snapshot* snapshot) = 0;
 
-  /// Sizes the buffer to hand `id` for the service starting now
-  /// (Fig. 5 steps 4–5). `id` must have been admitted.
-  virtual Result<AllocationDecision> Allocate(RequestId id, Seconds now) = 0;
+  /// Sizes the buffer to hand an admitted request for the service starting
+  /// now (Fig. 5 steps 4–5), and records the decision's (n, k) in its
+  /// `*snapshot`.
+  virtual AllocationDecision Allocate(Seconds now, Snapshot* snapshot) = 0;
 
   /// The decision Allocate would make right now, without recording it.
-  /// Used by the scheduler's worst-case lookahead. Valid whenever at least
-  /// one request is admitted.
-  virtual Result<AllocationDecision> Preview(Seconds now) const = 0;
+  /// Used by the scheduler's worst-case lookahead.
+  virtual AllocationDecision Preview(Seconds now) const = 0;
 
   /// Requests currently admitted (the paper's n).
-  [[nodiscard]] virtual int active_count() const = 0;
+  [[nodiscard]] int active_count() const { return n_; }
 
   /// The parameter set the allocator sizes against.
   [[nodiscard]] virtual const AllocParams& params() const = 0;
+
+ protected:
+  int n_ = 0;  ///< Admitted requests.
 };
 
 /// The static baseline: every buffer is BS(N); admission is capped at N.
+/// Its allocations carry no inertia, so it leaves every Snapshot as it is.
 class StaticBufferAllocator final : public BufferAllocator {
  public:
   static Result<std::unique_ptr<StaticBufferAllocator>> Create(
       const AllocParams& params);
 
-  void NoteArrival(Seconds now) override;
-  Status Admit(RequestId id, Seconds now) override;
-  void Remove(RequestId id) override;
-  void MarkDrained(RequestId /*id*/) override {}
-  Result<AllocationDecision> Allocate(RequestId id, Seconds now) override;
-  Result<AllocationDecision> Preview(Seconds now) const override;
-  [[nodiscard]] int active_count() const override {
-    return static_cast<int>(admitted_.size());
-  }
+  void NoteArrival(Seconds /*now*/) override {}
+  Status Admit() override;
+  void Remove(const Snapshot& snapshot) override;
+  void MarkDrained(Snapshot* /*snapshot*/) override {}
+  AllocationDecision Allocate(Seconds now, Snapshot* snapshot) override;
+  AllocationDecision Preview(Seconds now) const override;
   [[nodiscard]] const AllocParams& params() const override { return params_; }
 
  private:
@@ -90,7 +102,6 @@ class StaticBufferAllocator final : public BufferAllocator {
 
   AllocParams params_;
   Bits buffer_size_;
-  std::set<RequestId> admitted_;
 };
 
 /// The paper's dynamic scheme (Fig. 5): predicts k_c from the arrival log,
@@ -104,27 +115,15 @@ class DynamicBufferAllocator final : public BufferAllocator {
       std::shared_ptr<const BufferSizeTable> table, Seconds t_log);
 
   void NoteArrival(Seconds now) override;
-  Status Admit(RequestId id, Seconds now) override;
-  void Remove(RequestId id) override;
-  void MarkDrained(RequestId id) override;
-  Result<AllocationDecision> Allocate(RequestId id, Seconds now) override;
-  Result<AllocationDecision> Preview(Seconds now) const override;
-  [[nodiscard]] int active_count() const override {
-    return static_cast<int>(snapshots_.size());
-  }
+  Status Admit() override;
+  void Remove(const Snapshot& snapshot) override;
+  void MarkDrained(Snapshot* snapshot) override;
+  AllocationDecision Allocate(Seconds now, Snapshot* snapshot) override;
+  AllocationDecision Preview(Seconds now) const override;
   [[nodiscard]] const AllocParams& params() const override { return params_; }
 
   /// The BS_k(n) table buffers are sized from.
   [[nodiscard]] const BufferSizeTable& table() const { return *table_; }
-
-  /// The (n_i, k_i) snapshot the allocator recorded for `id` at its last
-  /// allocation (for tests and invariant checks).
-  struct Snapshot {
-    int n = 0;
-    int k = 0;
-    bool allocated = false;  ///< False until the first buffer is sized.
-  };
-  Result<Snapshot> snapshot(RequestId id) const;
 
   /// Failure injection: when false, Admit() skips the Assumption-1 gate
   /// (never defers). Simulations then demonstrate the starvation the
@@ -152,9 +151,9 @@ class DynamicBufferAllocator final : public BufferAllocator {
   /// shared count between the sharded runner's workers.
   std::shared_ptr<const BufferSizeTable> table_;
   ArrivalEstimator estimator_;
-  std::map<RequestId, Snapshot> snapshots_;
   /// Multisets (value -> count) of n_i + k_i and of k_i over the allocated
-  /// snapshots, so both minima are a lookup instead of a walk.
+  /// snapshots of the admitted requests, so both minima are a lookup
+  /// instead of a walk.
   std::map<int, int> ni_plus_ki_;
   std::map<int, int> ki_;
   Seconds last_usage_period_;

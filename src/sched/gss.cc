@@ -79,43 +79,22 @@ void GssScheduler::Remove(RequestId id) {
 const std::vector<RequestId>& GssScheduler::ServiceSequence(
     const SchedulerContext& ctx, Seconds /*now*/) {
   VODB_PROF_SCOPE("sched.gss.sequence");
-  if (!roster_active_) {
-    // Open the turn of the first group that has work; rotate duty-free
-    // groups to the back (each group inspected at most once). Sorting the
-    // whole group and then filtering gives the same roster as filtering and
-    // then sorting, because (cylinder, id) is a total order.
-    for (std::size_t attempts = 0; attempts < groups_.size(); ++attempts) {
-      Group& front = groups_.front();
-      EnsureSorted(ctx, &front);
-      current_roster_.clear();
-      current_roster_.reserve(front.ids.size());
-      for (RequestId id : front.ids) {
-        if (ctx.NeedsService(id)) current_roster_.push_back(id);
-      }
-      if (!current_roster_.empty()) {
-        roster_active_ = true;
-        break;
-      }
-      // Rotate the duty-free group to the back; moving the group keeps
-      // its element storage instead of copying it. The deque node growth
-      // is O(groups) once per turn, off the per-request path.
-      groups_.push_back(std::move(groups_.front()));  // vodb-lint: allow(alloc-in-hot-path)
-      groups_.pop_front();
-    }
+  if (!roster_active_ && !groups_.empty()) {
+    // Open the front group's turn. Groups are erased when they empty, so
+    // every group has members to serve.
+    EnsureSorted(ctx, &groups_.front());
+    current_roster_ = groups_.front().ids;
+    roster_active_ = true;
   }
   seq_.clear();
   seq_.reserve(current_roster_.size());
-  for (RequestId id : current_roster_) {
-    if (ctx.NeedsService(id)) seq_.push_back(id);
-  }
+  seq_.insert(seq_.end(), current_roster_.begin(), current_roster_.end());
   // Flatten the remaining groups in cyclic order for deadline lookahead.
   // Each keeps its sweep order between decisions, so only a group whose
   // order went stale since the last call is sorted again.
   for (std::size_t i = 1; i < groups_.size(); ++i) {
     EnsureSorted(ctx, &groups_[i]);
-    for (RequestId id : groups_[i].ids) {
-      if (ctx.NeedsService(id)) seq_.push_back(id);
-    }
+    seq_.insert(seq_.end(), groups_[i].ids.begin(), groups_[i].ids.end());
   }
   return seq_;
 }

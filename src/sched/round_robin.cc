@@ -22,16 +22,10 @@ void RoundRobinScheduler::Remove(RequestId id) {
 }
 
 const std::vector<RequestId>& RoundRobinScheduler::ServiceSequence(
-    const SchedulerContext& ctx, Seconds /*now*/) {
+    const SchedulerContext& /*ctx*/, Seconds /*now*/) {
   VODB_PROF_SCOPE("sched.round_robin.sequence");
-  seq_.clear();
-  seq_.reserve(fresh_.size() + ring_.size());
-  for (RequestId id : fresh_) {
-    if (ctx.NeedsService(id)) seq_.push_back(id);
-  }
-  for (RequestId id : ring_) {
-    if (ctx.NeedsService(id)) seq_.push_back(id);
-  }
+  seq_.assign(fresh_.begin(), fresh_.end());
+  seq_.insert(seq_.end(), ring_.begin(), ring_.end());
   return seq_;
 }
 

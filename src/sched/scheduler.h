@@ -20,7 +20,9 @@ struct RequestFacts {
 };
 
 /// Read-only view of request state the schedulers need. Implemented by the
-/// simulator (and by test fixtures).
+/// simulator (and by test fixtures). It is asked only about members of the
+/// scheduler, which are all requests with data left to deliver (see
+/// BufferScheduler).
 ///
 /// Contract the GSS scheduler relies on: CurrentCylinder(id) moves only when
 /// `id` completes a service, that is, between the fill that advanced the
@@ -32,8 +34,7 @@ class SchedulerContext {
   /// When the request's buffer runs empty (its service deadline). Requests
   /// that have never been serviced return +infinity — an unfilled buffer
   /// cannot underflow (urgency for them is about latency, handled by the
-  /// ordering, not about continuity). Fully delivered requests are never in
-  /// a service sequence.
+  /// ordering, not about continuity).
   virtual Seconds BufferDeadline(RequestId id) const = 0;
 
   /// True until the request's first buffer fill completes.
@@ -41,9 +42,6 @@ class SchedulerContext {
 
   /// Disk cylinder of the request's next read (Sweep ordering key).
   virtual double CurrentCylinder(RequestId id) const = 0;
-
-  /// Whether the request still has undelivered data.
-  virtual bool NeedsService(RequestId id) const = 0;
 
   /// Conservative (worst-case) duration of the request's next buffer fill.
   virtual Seconds WorstServiceTime(RequestId id) const = 0;
@@ -77,6 +75,11 @@ struct ServiceDecision {
 /// admission *timing*; admission *control* (Assumption 1) belongs to the
 /// BufferAllocator, and service *timing* safety is computed from the
 /// sequence via LatestSafeStart below.
+///
+/// Membership is who needs service: every registered request has data left
+/// to deliver, and no scheduler filters its members. The caller keeps that
+/// contract by calling Remove when a request is fully delivered, when it is
+/// cancelled and when it departs.
 class BufferScheduler {
  public:
   virtual ~BufferScheduler() = default;
@@ -84,7 +87,8 @@ class BufferScheduler {
   /// Registers a newly admitted request (it has no buffer yet).
   virtual void Add(RequestId id, Seconds now) = 0;
 
-  /// Removes a departed request.
+  /// Takes a request out at once: it is in no later sequence. A no-op for
+  /// a request that is not a member.
   virtual void Remove(RequestId id) = 0;
 
   /// Whether a pending request may be admitted now: always for
@@ -92,9 +96,9 @@ class BufferScheduler {
   /// Sweep*.
   virtual bool AdmitsNow() const = 0;
 
-  /// The upcoming service order over all registered requests that still
-  /// need service, starting with the request to service next. Pure —
-  /// repeated calls without intervening mutations return the same sequence.
+  /// The upcoming service order: the members in the method's order,
+  /// starting with the request to service next. Pure — repeated calls
+  /// without intervening mutations return the same sequence.
   /// The returned reference aliases scheduler-owned scratch (`seq_`) and is
   /// valid until the next ServiceSequence/Next call: the sequence is
   /// rebuilt every round, so handing out the buffer instead of a fresh

@@ -21,13 +21,10 @@ const std::vector<RequestId>& SweepScheduler::ServiceSequence(
     const SchedulerContext& ctx, Seconds /*now*/) {
   VODB_PROF_SCOPE("sched.sweep.sequence");
   if (roster_.empty()) {
-    // Start a new period: everyone needing service, in cylinder order
-    // (one-directional scan; the data positions advance monotonically so
-    // consecutive periods naturally sweep forward).
-    roster_.reserve(members_.size());
-    for (RequestId id : members_) {
-      if (ctx.NeedsService(id)) roster_.push_back(id);
-    }
+    // Start a new period: every member, in cylinder order (one-directional
+    // scan; the data positions advance monotonically so consecutive periods
+    // naturally sweep forward).
+    roster_.assign(members_.begin(), members_.end());
     std::sort(roster_.begin(), roster_.end(),
               [&ctx](RequestId a, RequestId b) {
                 const double ca = ctx.CurrentCylinder(a);
@@ -37,11 +34,7 @@ const std::vector<RequestId>& SweepScheduler::ServiceSequence(
               });
     if (!roster_.empty()) ++periods_started_;
   }
-  seq_.clear();
-  seq_.reserve(roster_.size());
-  for (RequestId id : roster_) {
-    if (ctx.NeedsService(id)) seq_.push_back(id);
-  }
+  seq_ = roster_;
   return seq_;
 }
 

@@ -207,9 +207,9 @@ void InvariantAuditor::CheckAllocation(const core::AllocParams& params,
   }
 }
 
-void InvariantAuditor::CheckServiceSequence(const sched::SchedulerContext& ctx,
-                                            const std::vector<RequestId>& seq,
-                                            Seconds now) {
+void InvariantAuditor::CheckServiceSequence(
+    const std::vector<RequestId>& seq, Seconds now,
+    const std::function<bool(RequestId)>& needs_service) {
   ++checks_;
   // Duplicates show as equal neighbours in a sorted copy, kept in a member
   // so a decision allocates nothing. Only a sequence that has one pays the
@@ -227,10 +227,11 @@ void InvariantAuditor::CheckServiceSequence(const sched::SchedulerContext& ctx,
                  " appears twice in the service sequence");
       return;
     }
-    if (!ctx.NeedsService(id)) {
+    if (!needs_service(id)) {
       Report("service-sequence", now,
              "request " + std::to_string(id) +
-                 " is in the service sequence but needs no service");
+                 " is in the service sequence but is not an admitted request"
+                 " with bits left to deliver");
       return;
     }
   }

@@ -95,10 +95,15 @@ class InvariantAuditor {
                        const disk::DiskProfile& profile, bool dynamic_scheme,
                        const AllocationRecord& rec);
 
-  /// Service-sequence validity for all three schedulers: no duplicate ids,
-  /// and every member still needs service.
-  void CheckServiceSequence(const sched::SchedulerContext& ctx,
-                            const std::vector<RequestId>& seq, Seconds now);
+  /// Service-sequence validity for all three schedulers, on the sequence
+  /// exactly as the scheduler built it (schedulers filter nothing: their
+  /// membership is the only record of who needs service). No id appears
+  /// twice, and `needs_service(id)` holds for every entry: the caller
+  /// answers it from its request table, true for an admitted request with
+  /// bits still undelivered and false for any other id, including one the
+  /// table does not hold. A member the caller failed to remove fires here.
+  void CheckServiceSequence(const std::vector<RequestId>& seq, Seconds now,
+                            const std::function<bool(RequestId)>& needs_service);
 
   /// Batched scheduling facts: SchedulerContext::Facts for `seq` reports,
   /// entry by entry, exactly what the per-request methods report

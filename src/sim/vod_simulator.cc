@@ -65,24 +65,40 @@ Result<core::AllocParams> AllocParamsFor(const SimConfig& config) {
 
 namespace {
 
-/// The DL row n of the dynamic scheme's BS_k(n) table is sized at: Sweep*'s
-/// varies with the in-service count (Table 2: γ(Cyln/n) + θ), every other
-/// method's is the params' constant.
-Seconds TableDl(const SimConfig& config, const core::AllocParams& params,
-                int n) {
-  return config.method == core::ScheduleMethod::kSweep
-             ? core::WorstDiskLatency(config.profile,
-                                      core::ScheduleMethod::kSweep, n)
-             : params.dl;
+/// The DL each row n = 1..N of the dynamic scheme's BS_k(n) table is sized
+/// at, at index n − 1: Sweep*'s varies with the in-service count (Table 2:
+/// γ(Cyln/n) + θ), every other method's is the params' constant.
+std::vector<Seconds> DlByN(const SimConfig& config,
+                           const core::AllocParams& params) {
+  std::vector<Seconds> dl(static_cast<std::size_t>(params.n_max), params.dl);
+  if (config.method == core::ScheduleMethod::kSweep) {
+    for (int n = 1; n <= params.n_max; ++n) {
+      dl[static_cast<std::size_t>(n - 1)] = core::WorstDiskLatency(
+          config.profile, core::ScheduleMethod::kSweep, n);
+    }
+  }
+  return dl;
 }
 
-/// Whether `table` is the one BufferSizeTableFor(config) builds: its
-/// entries are a function of its params and its rows' DL alone.
-bool IsTableFor(const core::BufferSizeTable& table, const SimConfig& config,
-                const core::AllocParams& params) {
+/// Theorem 1 on `params`, row n sized at DL `dl_by_n[n − 1]`.
+Result<std::shared_ptr<const core::BufferSizeTable>> TableFrom(
+    const core::AllocParams& params, const std::vector<Seconds>& dl_by_n) {
+  Result<core::BufferSizeTable> table = core::BufferSizeTable::Build(
+      params,
+      [&dl_by_n](int n) { return dl_by_n[static_cast<std::size_t>(n - 1)]; });
+  if (!table.ok()) return table.status();
+  return std::make_shared<const core::BufferSizeTable>(
+      std::move(table).value());
+}
+
+/// Whether `table` is the one TableFrom builds for `params` and
+/// `dl_by_n`: its entries are a function of those alone.
+bool IsTableFor(const core::BufferSizeTable& table,
+                const core::AllocParams& params,
+                const std::vector<Seconds>& dl_by_n) {
   if (table.params() != params) return false;
   for (int n = 1; n <= params.n_max; ++n) {
-    if (table.dl(n) != TableDl(config, params, n)) return false;
+    if (table.dl(n) != dl_by_n[static_cast<std::size_t>(n - 1)]) return false;
   }
   return true;
 }
@@ -94,11 +110,7 @@ Result<std::shared_ptr<const core::BufferSizeTable>> BufferSizeTableFor(
   VOD_RETURN_IF_ERROR(config.Validate());
   Result<core::AllocParams> params = AllocParamsFor(config);
   if (!params.ok()) return params.status();
-  Result<core::BufferSizeTable> table = core::BufferSizeTable::Build(
-      *params, [&](int n) { return TableDl(config, *params, n); });
-  if (!table.ok()) return table.status();
-  return std::make_shared<const core::BufferSizeTable>(
-      std::move(table).value());
+  return TableFrom(*params, DlByN(config, *params));
 }
 
 Result<std::unique_ptr<AnalyticMemoryBroker>> MakeBroker(
@@ -120,12 +132,13 @@ Result<std::unique_ptr<VodSimulator>> VodSimulator::Create(
 
   Result<core::AllocParams> params = AllocParamsFor(config);
   if (!params.ok()) return params.status();
+  std::vector<Seconds> dl_by_n = DlByN(config, *params);
   if (table != nullptr) {
     if (config.scheme == AllocScheme::kStatic) {
       return Status::InvalidArgument(
           "the static scheme sizes buffers without a BS_k(n) table");
     }
-    if (!IsTableFor(*table, config, *params)) {
+    if (!IsTableFor(*table, *params, dl_by_n)) {
       return Status::InvalidArgument(
           "the BS_k(n) table was built for another configuration");
     }
@@ -148,7 +161,7 @@ Result<std::unique_ptr<VodSimulator>> VodSimulator::Create(
   } else {
     if (table == nullptr) {
       Result<std::shared_ptr<const core::BufferSizeTable>> own =
-          BufferSizeTableFor(config);
+          TableFrom(*params, dl_by_n);
       if (!own.ok()) return own.status();
       table = std::move(own).value();
     }
@@ -177,18 +190,20 @@ Result<std::unique_ptr<VodSimulator>> VodSimulator::Create(
   }
 
   auto sim = std::unique_ptr<VodSimulator>(
-      new VodSimulator(config, *params, std::move(layout),
+      new VodSimulator(config, *params, std::move(dl_by_n), std::move(layout),
                        std::move(allocator), std::move(scheduler), broker));
   return sim;
 }
 
 VodSimulator::VodSimulator(const SimConfig& config,
                            core::AllocParams alloc_params,
+                           std::vector<Seconds> dl_by_n,
                            disk::VideoLayout layout,
                            std::unique_ptr<core::BufferAllocator> allocator,
                            std::unique_ptr<sched::BufferScheduler> scheduler,
                            MemoryBroker* broker)
-    : config_(config), alloc_params_(alloc_params), layout_(std::move(layout)),
+    : config_(config), alloc_params_(alloc_params),
+      dl_by_n_(std::move(dl_by_n)), layout_(std::move(layout)),
       disk_(config.profile), allocator_(std::move(allocator)),
       scheduler_(std::move(scheduler)), broker_(broker),
       rng_(config.seed, /*stream=*/0x9e3779b97f4a7c15ULL ^
@@ -410,9 +425,9 @@ VodSimulator::Req& VodSimulator::GetReq(RequestId id) {
 }
 
 Seconds VodSimulator::DeadlineOf(const Req& r) const {
-  // An unfilled buffer has no continuity deadline; a fully delivered
-  // request never underflows either.
-  if (!r.playing || r.delivered >= r.total_bits) return kInf;
+  // An unfilled buffer has no continuity deadline. Only scheduler members
+  // are asked, and every member has bits left to deliver.
+  if (!r.playing) return kInf;
   const Bits level = BufferLevelAt(r, now_);
   return now_ + level / alloc_params_.cr;
 }
@@ -433,42 +448,21 @@ double VodSimulator::CurrentCylinder(RequestId id) const {
   return cyl.value();
 }
 
-bool VodSimulator::NeedsService(RequestId id) const {
-  const Req& r = GetReq(id);
-  return r.admitted && r.delivered < r.total_bits;
-}
-
 core::AllocationDecision VodSimulator::CachedPreview() const {
   if (preview_cache_time_ != now_ ||
       preview_cache_version_ != state_version_) {
-    Result<core::AllocationDecision> d = allocator_->Preview(now_);
-    VOD_CHECK(d.ok());
-    preview_cache_ = d.value();
+    preview_cache_ = allocator_->Preview(now_);
     preview_cache_time_ = now_;
     preview_cache_version_ = state_version_;
   }
   return preview_cache_;
 }
 
-Seconds VodSimulator::CachedWorstLatency(int n_or_g) const {
-  const auto i = static_cast<std::size_t>(n_or_g);
-  if (i >= worst_latency_cache_.size()) {
-    worst_latency_cache_.resize(i + 1, Seconds(-1));
-  }
-  if (worst_latency_cache_[i] < Seconds(0)) {
-    worst_latency_cache_[i] =
-        core::WorstDiskLatency(config_.profile, config_.method, n_or_g);
-  }
-  return worst_latency_cache_[i];
-}
-
 Seconds VodSimulator::LookaheadLatency() const {
-  // Lookahead DL uses the *current* load for Sweep (γ(Cyln/n)), the group
-  // size for GSS, and the full stroke for Round-Robin.
-  const int n_or_g = config_.method == core::ScheduleMethod::kGss
-                         ? config_.gss_group_size
-                         : std::max(1, allocator_->active_count());
-  return CachedWorstLatency(n_or_g);
+  // The *current* load's row: γ(Cyln/n) for Sweep, γ(Cyln/g) for GSS, and
+  // the full stroke for Round-Robin.
+  const int n = std::max(1, allocator_->active_count());
+  return dl_by_n_[static_cast<std::size_t>(n - 1)];
 }
 
 Seconds VodSimulator::WorstServiceOf(const Req& r, Bits buffer_size,
@@ -585,28 +579,15 @@ Result<RequestId> VodSimulator::ProcessArrival(const ArrivalEvent& a) {
                           info->size - r.start_offset);
   Trace(TraceKind::kArrival, r.id);
   if (r.total_bits <= Bits(0)) {
-    ++metrics_.rejected;
-    ++metrics_.rejected_invalid;
-    Trace(TraceKind::kRejectInvalid, r.id);
+    Reject(TraceKind::kRejectInvalid, r.id);
     return Status::InvalidArgument("nothing to play at that position");
   }
-
-  // Immediate rejections (Sec. 5.1): a fully loaded disk turns the request
-  // away; so does an exhausted memory budget. Assumption-1 conflicts defer
-  // instead (handled in TryAdmitPending).
-  if (allocator_->active_count() >= alloc_params_.n_max) {
-    ++metrics_.rejected;
-    ++metrics_.rejected_capacity;
-    Trace(TraceKind::kRejectCapacity, r.id);
-    return Status::CapacityExceeded("fully loaded (n == N)");
-  }
-  if (broker_ != nullptr &&
-      !broker_->CanAdmit(config_.disk_id, allocator_->active_count() + 1,
-                         last_k_estimate_)) {
-    ++metrics_.rejected;
-    ++metrics_.rejected_memory;
-    Trace(TraceKind::kRejectMemory, r.id);
-    return Status::CapacityExceeded("memory budget exhausted");
+  // Assumption-1 conflicts defer instead (handled in TryAdmitPending).
+  if (const std::optional<TraceKind> rejection = RejectionNow()) {
+    Reject(*rejection, r.id);
+    return Status::CapacityExceeded(*rejection == TraceKind::kRejectCapacity
+                                        ? "fully loaded (n == N)"
+                                        : "memory budget exhausted");
   }
 
   const RequestId id = r.id;
@@ -625,7 +606,7 @@ Status VodSimulator::CancelRequest(RequestId id) {
   auto pit = std::find(pending_.begin(), pending_.end(), id);
   if (pit != pending_.end()) pending_.erase(pit);
   if (r->admitted) {
-    allocator_->Remove(id);
+    allocator_->Remove(r->snapshot);
     scheduler_->Remove(id);
   }
   // The stream's delivered bits leave the buffer pool with it. Bits of a
@@ -646,6 +627,26 @@ Status VodSimulator::CancelRequest(RequestId id) {
   return Status::OK();
 }
 
+std::optional<TraceKind> VodSimulator::RejectionNow() const {
+  // Immediate rejections (Sec. 5.1): a fully loaded disk turns the request
+  // away; so does an exhausted memory budget.
+  const int n = allocator_->active_count();
+  if (n >= alloc_params_.n_max) return TraceKind::kRejectCapacity;
+  if (broker_ != nullptr &&
+      !broker_->CanAdmit(config_.disk_id, n + 1, last_k_estimate_)) {
+    return TraceKind::kRejectMemory;
+  }
+  return std::nullopt;
+}
+
+void VodSimulator::Reject(TraceKind kind, RequestId id) {
+  ++metrics_.rejected;
+  ++(kind == TraceKind::kRejectInvalid    ? metrics_.rejected_invalid
+     : kind == TraceKind::kRejectCapacity ? metrics_.rejected_capacity
+                                          : metrics_.rejected_memory);
+  Trace(kind, id);
+}
+
 void VodSimulator::TryAdmitPending() {
   // Runs about once per event; time only the calls with work to do.
   if (pending_.empty()) return;
@@ -656,29 +657,17 @@ void VodSimulator::TryAdmitPending() {
     // sweep order. Every other method admits whenever the allocator agrees.
     if (!scheduler_->AdmitsNow()) break;
     const RequestId id = pending_.front();
+    if (const std::optional<TraceKind> rejection = RejectionNow()) {
+      // The disk filled up, or the budget ran out, while the request
+      // waited: reject it now.
+      pending_.pop_front();
+      requests_.Erase(id);
+      Reject(*rejection, id);
+      continue;
+    }
+
     Req& r = GetReq(id);
-
-    if (allocator_->active_count() >= alloc_params_.n_max) {
-      // The disk filled up while the request waited: reject it now.
-      pending_.pop_front();
-      requests_.Erase(id);
-      ++metrics_.rejected;
-      ++metrics_.rejected_capacity;
-      Trace(TraceKind::kRejectCapacity, id);
-      continue;
-    }
-    if (broker_ != nullptr &&
-        !broker_->CanAdmit(config_.disk_id, allocator_->active_count() + 1,
-                           last_k_estimate_)) {
-      pending_.pop_front();
-      requests_.Erase(id);
-      ++metrics_.rejected;
-      ++metrics_.rejected_memory;
-      Trace(TraceKind::kRejectMemory, id);
-      continue;
-    }
-
-    const Status st = allocator_->Admit(id, now_);
+    const Status st = allocator_->Admit();
     if (st.code() == StatusCode::kDeferred) {
       if (!r.was_deferred) {
         r.was_deferred = true;
@@ -687,15 +676,8 @@ void VodSimulator::TryAdmitPending() {
       }
       break;  // FIFO: later arrivals wait behind the deferred one.
     }
-    if (!st.ok()) {
-      // The allocator itself refused (non-deferred): a capacity condition.
-      pending_.pop_front();
-      requests_.Erase(id);
-      ++metrics_.rejected;
-      ++metrics_.rejected_capacity;
-      Trace(TraceKind::kRejectCapacity, id);
-      continue;
-    }
+    // The gate above ruled out n = N, the allocator's only refusal.
+    VOD_DCHECK(st.ok());
 
     pending_.pop_front();
     ++state_version_;
@@ -749,7 +731,10 @@ void VodSimulator::MaybeScheduleService() {
   if (!config_.disable_admission_control) {
     const std::vector<RequestId>& seq =
         scheduler_->ServiceSequence(*this, now_);
-    auditor_.CheckServiceSequence(*this, seq, now_);
+    auditor_.CheckServiceSequence(seq, now_, [this](RequestId id) {
+      const Req* r = requests_.Find(id);
+      return r != nullptr && r->admitted && r->delivered < r->total_bits;
+    });
     auditor_.CheckSchedulerFacts(*this, seq, now_);
     auditor_.CheckServiceDecision(*this, seq, *dec, now_);
   }
@@ -803,9 +788,8 @@ void VodSimulator::BeginService(RequestId id) {
     return;
   }
 
-  Result<core::AllocationDecision> d = allocator_->Allocate(id, now_);
-  VOD_CHECK(d.ok());
-  const Bits bits = std::min(d->buffer_size, r.total_bits - r.delivered);
+  const core::AllocationDecision d = allocator_->Allocate(now_, &r.snapshot);
+  const Bits bits = std::min(d.buffer_size, r.total_bits - r.delivered);
   VOD_CHECK(bits > Bits(0));
 
   Result<double> cyl =
@@ -827,17 +811,17 @@ void VodSimulator::BeginService(RequestId id) {
   AllocationRecord rec;
   rec.time = now_;
   rec.request = id;
-  rec.n = d->n;
-  rec.k = d->k;
-  rec.buffer_size = d->buffer_size;
-  rec.usage_period = d->usage_period;
+  rec.n = d.n;
+  rec.k = d.k;
+  rec.buffer_size = d.buffer_size;
+  rec.usage_period = d.usage_period;
   metrics_.allocations.push_back(rec);
   if (tracer_ != nullptr) {
     obs::TraceEvent ev = TraceStamp(TraceKind::kAllocation, id);
-    ev.n = d->n;
-    ev.k = d->k;
-    ev.bits = d->buffer_size;
-    ev.usage_period = d->usage_period;
+    ev.n = d.n;
+    ev.k = d.k;
+    ev.bits = d.buffer_size;
+    ev.usage_period = d.usage_period;
     tracer_->Emit(ev);
   }
   TraceService(TraceKind::kServiceStart, id, bits, *timing);
@@ -845,11 +829,11 @@ void VodSimulator::BeginService(RequestId id) {
   auditor_.CheckAllocation(alloc_params_, config_.method, config_.profile,
                            config_.scheme == AllocScheme::kDynamic, rec);
 #endif
-  metrics_.estimated_k.Add(d->k);
+  metrics_.estimated_k.Add(d.k);
   metrics_.memory_usage.Record(ToSeconds(now_), ToBits(TotalBufferedBits(now_)));
   ++metrics_.services;
   metrics_.disk_busy_time += dur;
-  ReportBrokerState(d->k);
+  ReportBrokerState(d.k);
 }
 
 void VodSimulator::DetectStarvation() {
@@ -994,7 +978,7 @@ void VodSimulator::HandleServiceComplete(const SimEvent& ev) {
       // Fully delivered: the request keeps its slot in n while its last
       // buffer drains (it is still viewing) but needs no more services, so
       // its inertia snapshot is retired and the scheduler forgets it.
-      allocator_->MarkDrained(id);
+      allocator_->MarkDrained(&r.snapshot);
       scheduler_->Remove(id);
       const Bits left = r.total_bits - ConsumedAt(r, now_);
       Push(now_ + left / alloc_params_.cr, SimEventKind::kDeparture, id);
@@ -1013,7 +997,7 @@ void VodSimulator::HandleDeparture(const SimEvent& ev) {
   // Use-it-and-toss-it: everything delivered to this stream is released at
   // departure (the conservation ledger's release side).
   metrics_.buffer_bits_released += r->delivered;
-  allocator_->Remove(id);
+  allocator_->Remove(r->snapshot);
   scheduler_->Remove(id);
   requests_.Erase(id);
 #if VODB_AUDIT_ENABLED

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -195,7 +196,6 @@ class VodSimulator : public sched::SchedulerContext {
   Seconds BufferDeadline(RequestId id) const override;
   bool NeverServiced(RequestId id) const override;
   double CurrentCylinder(RequestId id) const override;
-  bool NeedsService(RequestId id) const override;
   Seconds WorstServiceTime(RequestId id) const override;
   Seconds NewcomerReserve() const override;
   /// One request lookup per entry; the allocator preview and the lookahead
@@ -204,6 +204,8 @@ class VodSimulator : public sched::SchedulerContext {
              std::vector<sched::RequestFacts>* out) const override;
 
  private:
+  /// One request: the table entry from arrival to departure. It is the only
+  /// record of whether the request is admitted and of its Fig. 5 snapshot.
   struct Req {
     RequestId id = kInvalidRequestId;
     disk::VideoId video = 0;
@@ -226,12 +228,15 @@ class VodSimulator : public sched::SchedulerContext {
     bool ever_degraded = false;  ///< For the distinct-streams counter.
     int round_failures = 0;  ///< Consecutive failed reads this round.
     int n_at_admit = 0;
+    /// The (n_i, k_i) of the last allocation, which the allocator reads and
+    /// updates through every call about this request.
+    core::Snapshot snapshot;
     int fill_count = 0;
     Seconds first_data = Seconds(-1);
   };
 
   VodSimulator(const SimConfig& config, core::AllocParams alloc_params,
-               disk::VideoLayout layout,
+               std::vector<Seconds> dl_by_n, disk::VideoLayout layout,
                std::unique_ptr<core::BufferAllocator> allocator,
                std::unique_ptr<sched::BufferScheduler> scheduler,
                MemoryBroker* broker);
@@ -250,6 +255,15 @@ class VodSimulator : public sched::SchedulerContext {
   /// scheduler's timing, the allocator's Assumption 1, and the memory
   /// broker all allow it.
   void TryAdmitPending();
+
+  /// The immediate-rejection gate (Sec. 5.1) of a request asking to join
+  /// now: kRejectCapacity on a fully loaded disk (n = N), kRejectMemory when
+  /// the broker cannot fit n + 1, nullopt when it may join (Assumption 1 may
+  /// still defer it).
+  std::optional<obs::TraceEventKind> RejectionNow() const;
+  /// Counts and traces a request turned away; `kind` is the kReject* trace
+  /// kind of its cause.
+  void Reject(obs::TraceEventKind kind, RequestId id);
 
   /// If the disk is idle, picks the next service and either starts it or
   /// schedules a wakeup at its just-in-time start.
@@ -280,11 +294,14 @@ class VodSimulator : public sched::SchedulerContext {
   static bool NeverServicedOf(const Req& r) { return !r.playing; }
   /// `buffer_size` is the allocator preview's, `dl` LookaheadLatency().
   Seconds WorstServiceOf(const Req& r, Bits buffer_size, Seconds dl) const;
-  /// Worst disk latency of one lookahead service.
+  /// Worst disk latency of one lookahead service at the current load.
   Seconds LookaheadLatency() const;
 
   SimConfig config_;
   core::AllocParams alloc_params_;
+  /// DL(n) at index n − 1 for n = 1..N, the vector the BS_k(n) table's rows
+  /// are sized from: Sweep*'s γ(Cyln/n) + θ, every other method's params DL.
+  std::vector<Seconds> dl_by_n_;
   disk::VideoLayout layout_;
   disk::SimulatedDisk disk_;
   std::unique_ptr<core::BufferAllocator> allocator_;
@@ -329,12 +346,6 @@ class VodSimulator : public sched::SchedulerContext {
   mutable Seconds preview_cache_time_ = Seconds(-1);
   mutable std::uint64_t preview_cache_version_ = ~0ULL;
   std::uint64_t state_version_ = 0;
-
-  /// core::WorstDiskLatency is a pure function of (profile, method, n) and
-  /// the scheduling loop asks for it at least once per decision; memoize by
-  /// n (exact same double comes back — bit-identical results).
-  Seconds CachedWorstLatency(int n_or_g) const;
-  mutable std::vector<Seconds> worst_latency_cache_;
 
   /// Assembles a TimeseriesSample from current state and records it.
   void SampleTimeseries();

@@ -41,13 +41,14 @@ Result<std::unique_ptr<DynamicBufferAllocator>> MakeDynamic(
 TEST(StaticAllocatorTest, AlwaysHandsOutFullyLoadedSize) {
   auto a = StaticBufferAllocator::Create(SmallParams());
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE((*a)->Admit(1, Seconds(0.0)).ok());
-  auto d = (*a)->Allocate(1, Seconds(0.0));
-  ASSERT_TRUE(d.ok());
-  EXPECT_DOUBLE_EQ(ToBits(d->buffer_size),
+  ASSERT_TRUE((*a)->Admit().ok());
+  Snapshot s;
+  const AllocationDecision d = (*a)->Allocate(Seconds(0.0), &s);
+  EXPECT_DOUBLE_EQ(ToBits(d.buffer_size),
                    ToBits(StaticSchemeBufferSize(SmallParams()).value()));
-  EXPECT_EQ(d->k, 0);
-  EXPECT_EQ(d->n, 1);
+  EXPECT_EQ(d.k, 0);
+  EXPECT_EQ(d.n, 1);
+  EXPECT_FALSE(s.allocated);  // The static scheme records no inertia.
 }
 
 TEST(StaticAllocatorTest, AdmitsUpToNThenRejects) {
@@ -55,9 +56,9 @@ TEST(StaticAllocatorTest, AdmitsUpToNThenRejects) {
   auto a = StaticBufferAllocator::Create(p);
   ASSERT_TRUE(a.ok());
   for (int i = 1; i <= p.n_max; ++i) {
-    EXPECT_TRUE((*a)->Admit(static_cast<RequestId>(i), Seconds(0.0)).ok()) << i;
+    EXPECT_TRUE((*a)->Admit().ok()) << i;
   }
-  EXPECT_EQ((*a)->Admit(1000, Seconds(0.0)).code(), StatusCode::kCapacityExceeded);
+  EXPECT_EQ((*a)->Admit().code(), StatusCode::kCapacityExceeded);
   EXPECT_EQ((*a)->active_count(), p.n_max);
 }
 
@@ -66,24 +67,11 @@ TEST(StaticAllocatorTest, RemoveFreesCapacity) {
   auto a = StaticBufferAllocator::Create(p);
   ASSERT_TRUE(a.ok());
   for (int i = 1; i <= p.n_max; ++i) {
-    ASSERT_TRUE((*a)->Admit(static_cast<RequestId>(i), Seconds(0.0)).ok());
+    ASSERT_TRUE((*a)->Admit().ok());
   }
-  (*a)->Remove(3);
+  (*a)->Remove(Snapshot{});
   EXPECT_EQ((*a)->active_count(), p.n_max - 1);
-  EXPECT_TRUE((*a)->Admit(1000, Seconds(0.0)).ok());
-}
-
-TEST(StaticAllocatorTest, DoubleAdmitFails) {
-  auto a = StaticBufferAllocator::Create(SmallParams());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE((*a)->Admit(1, Seconds(0.0)).ok());
-  EXPECT_EQ((*a)->Admit(1, Seconds(0.0)).code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(StaticAllocatorTest, AllocateUnknownRequestFails) {
-  auto a = StaticBufferAllocator::Create(SmallParams());
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ((*a)->Allocate(9, Seconds(0.0)).status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE((*a)->Admit().ok());
 }
 
 // --- DynamicBufferAllocator ---
@@ -93,30 +81,32 @@ TEST(DynamicAllocatorTest, FirstAllocationUsesAlphaEstimate) {
   auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   (*a)->NoteArrival(Seconds(0.0));
-  ASSERT_TRUE((*a)->Admit(1, Seconds(0.0)).ok());
-  auto d = (*a)->Allocate(1, Seconds(0.0));
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->n, 1);
+  ASSERT_TRUE((*a)->Admit().ok());
+  Snapshot s;
+  const AllocationDecision d = (*a)->Allocate(Seconds(0.0), &s);
+  EXPECT_EQ(d.n, 1);
   // k_log = 1 (its own arrival is in the log) → k_c = k_log + α = 2.
-  EXPECT_EQ(d->k, 2);
-  EXPECT_DOUBLE_EQ(ToBits(d->buffer_size), ToBits(DynamicBufferSize(p, 1, 2).value()));
+  EXPECT_EQ(d.k, 2);
+  EXPECT_DOUBLE_EQ(ToBits(d.buffer_size), ToBits(DynamicBufferSize(p, 1, 2).value()));
+  // The caller's snapshot records the decision.
+  EXPECT_TRUE(s.allocated);
+  EXPECT_EQ(s.n, 1);
+  EXPECT_EQ(s.k, 2);
 }
 
 TEST(DynamicAllocatorTest, BufferSizeTracksLoad) {
   const AllocParams p = SmallParams();
   auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
+  std::vector<Snapshot> snapshots;
   Bits prev = Bits(0.0);
   for (int i = 1; i <= 10; ++i) {
     const Seconds t = Seconds(i * 1.0);
-    ASSERT_TRUE((*a)->Admit(static_cast<RequestId>(i), t).ok());
+    ASSERT_TRUE((*a)->Admit().ok());
+    snapshots.emplace_back();
     // One service round so the inertia snapshots track the new load.
-    core::AllocationDecision last{};
-    for (int j = 1; j <= i; ++j) {
-      auto d = (*a)->Allocate(static_cast<RequestId>(j), t);
-      ASSERT_TRUE(d.ok());
-      last = d.value();
-    }
+    AllocationDecision last{};
+    for (Snapshot& s : snapshots) last = (*a)->Allocate(t, &s);
     EXPECT_EQ(last.n, i);
     EXPECT_GE(last.buffer_size, prev) << "round " << i;
     prev = last.buffer_size;
@@ -130,13 +120,13 @@ TEST(DynamicAllocatorTest, Assumption2BoundsEstimateGrowth) {
   ASSERT_TRUE(a.ok());
   // Create a burst so k_log would be large.
   for (int i = 0; i < 12; ++i) (*a)->NoteArrival(Seconds(i * 0.01));
-  ASSERT_TRUE((*a)->Admit(1, Seconds(0.2)).ok());
-  auto first = (*a)->Allocate(1, Seconds(0.2));
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE((*a)->Admit(2, Seconds(0.3)).ok());
-  auto second = (*a)->Allocate(2, Seconds(0.3));
-  ASSERT_TRUE(second.ok());
-  EXPECT_LE(second->k, first->k + p.alpha);
+  Snapshot s1;
+  Snapshot s2;
+  ASSERT_TRUE((*a)->Admit().ok());
+  const AllocationDecision first = (*a)->Allocate(Seconds(0.2), &s1);
+  ASSERT_TRUE((*a)->Admit().ok());
+  const AllocationDecision second = (*a)->Allocate(Seconds(0.3), &s2);
+  EXPECT_LE(second.k, first.k + p.alpha);
 }
 
 TEST(DynamicAllocatorTest, Assumption1DefersOverAdmission) {
@@ -145,19 +135,20 @@ TEST(DynamicAllocatorTest, Assumption1DefersOverAdmission) {
   ASSERT_TRUE(a.ok());
   // One serviced request with a small snapshot: n_1 = 1, k_1 = α = 1
   // (empty log → k_log = 0 → k_c = 1): n_1 + k_1 = 2.
-  ASSERT_TRUE((*a)->Admit(1, Seconds(0.0)).ok());
-  ASSERT_TRUE((*a)->Allocate(1, Seconds(0.0)).ok());
-  auto snap = (*a)->snapshot(1);
-  ASSERT_TRUE(snap.ok());
-  ASSERT_EQ(snap->n + snap->k, 2);
+  Snapshot s1;
+  Snapshot s2;
+  ASSERT_TRUE((*a)->Admit().ok());
+  (*a)->Allocate(Seconds(0.0), &s1);
+  ASSERT_TRUE(s1.allocated);
+  ASSERT_EQ(s1.n + s1.k, 2);
   // Second admission is fine (n+1 = 2 <= 2), third must defer (3 > 2).
-  EXPECT_TRUE((*a)->Admit(2, Seconds(0.1)).ok());
-  EXPECT_EQ((*a)->Admit(3, Seconds(0.2)).code(), StatusCode::kDeferred);
+  EXPECT_TRUE((*a)->Admit().ok());
+  EXPECT_EQ((*a)->Admit().code(), StatusCode::kDeferred);
   // After request 1 is re-allocated at the higher load, its snapshot
   // loosens and the deferred admission proceeds.
-  ASSERT_TRUE((*a)->Allocate(1, Seconds(0.3)).ok());
-  ASSERT_TRUE((*a)->Allocate(2, Seconds(0.35)).ok());
-  EXPECT_TRUE((*a)->Admit(3, Seconds(0.4)).ok());
+  (*a)->Allocate(Seconds(0.3), &s1);
+  (*a)->Allocate(Seconds(0.35), &s2);
+  EXPECT_TRUE((*a)->Admit().ok());
 }
 
 TEST(DynamicAllocatorTest, EnforcementCanBeDisabled) {
@@ -165,39 +156,44 @@ TEST(DynamicAllocatorTest, EnforcementCanBeDisabled) {
   auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   (*a)->set_enforce_assumptions(false);
-  ASSERT_TRUE((*a)->Admit(1, Seconds(0.0)).ok());
-  ASSERT_TRUE((*a)->Allocate(1, Seconds(0.0)).ok());
-  EXPECT_TRUE((*a)->Admit(2, Seconds(0.1)).ok());
-  EXPECT_TRUE((*a)->Admit(3, Seconds(0.2)).ok());  // Would defer when enforcing.
-  EXPECT_TRUE((*a)->Admit(4, Seconds(0.3)).ok());
+  Snapshot s1;
+  ASSERT_TRUE((*a)->Admit().ok());
+  (*a)->Allocate(Seconds(0.0), &s1);
+  EXPECT_TRUE((*a)->Admit().ok());
+  EXPECT_TRUE((*a)->Admit().ok());  // Would defer when enforcing.
+  EXPECT_TRUE((*a)->Admit().ok());
 }
 
 TEST(DynamicAllocatorTest, MarkDrainedRetiresSnapshot) {
   const AllocParams p = SmallParams();
   auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE((*a)->Admit(1, Seconds(0.0)).ok());
-  ASSERT_TRUE((*a)->Allocate(1, Seconds(0.0)).ok());
-  ASSERT_TRUE((*a)->Admit(2, Seconds(0.1)).ok());
-  EXPECT_EQ((*a)->Admit(3, Seconds(0.2)).code(), StatusCode::kDeferred);
+  Snapshot s1;
+  ASSERT_TRUE((*a)->Admit().ok());
+  (*a)->Allocate(Seconds(0.0), &s1);
+  ASSERT_TRUE((*a)->Admit().ok());
+  EXPECT_EQ((*a)->Admit().code(), StatusCode::kDeferred);
   // Draining request 1 removes its tight snapshot; admission unblocks,
   // while n still counts the drained request.
-  (*a)->MarkDrained(1);
+  (*a)->MarkDrained(&s1);
+  EXPECT_FALSE(s1.allocated);
   EXPECT_EQ((*a)->active_count(), 2);
-  EXPECT_TRUE((*a)->Admit(3, Seconds(0.3)).ok());
+  EXPECT_TRUE((*a)->Admit().ok());
 }
 
-/// Admits request i then re-allocates every admitted request (one service
-/// round), so the inertia snapshots track the new load and admission can
-/// keep growing — the same refresh the scheduler performs in a real run.
-void FillToLoad(DynamicBufferAllocator* a, int target) {
+/// Admits requests 1..target, re-allocating every admitted request after
+/// each admission (one service round), so the inertia snapshots track the
+/// new load and admission can keep growing — the same refresh the scheduler
+/// performs in a real run. Returns the snapshots, one per admitted request.
+std::vector<Snapshot> FillToLoad(DynamicBufferAllocator* a, int target) {
+  std::vector<Snapshot> snapshots;
   for (int i = 1; i <= target; ++i) {
     const Seconds t = Seconds(i * 0.1);
-    ASSERT_TRUE(a->Admit(static_cast<RequestId>(i), t).ok()) << i;
-    for (int j = 1; j <= i; ++j) {
-      ASSERT_TRUE(a->Allocate(static_cast<RequestId>(j), t).ok()) << j;
-    }
+    EXPECT_TRUE(a->Admit().ok()) << i;
+    snapshots.emplace_back();
+    for (Snapshot& s : snapshots) a->Allocate(t, &s);
   }
+  return snapshots;
 }
 
 TEST(DynamicAllocatorTest, FullLoadRejects) {
@@ -205,48 +201,42 @@ TEST(DynamicAllocatorTest, FullLoadRejects) {
   auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
   FillToLoad(a->get(), p.n_max);
-  EXPECT_EQ((*a)->Admit(999, Seconds(100.0)).code(), StatusCode::kCapacityExceeded);
+  EXPECT_EQ((*a)->Admit().code(), StatusCode::kCapacityExceeded);
 }
 
 TEST(DynamicAllocatorTest, FullLoadAllocatesStaticSize) {
   const AllocParams p = SmallParams();
   auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
-  FillToLoad(a->get(), p.n_max);
-  auto d = (*a)->Allocate(1, Seconds(10.0));
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->n, p.n_max);
+  std::vector<Snapshot> snapshots = FillToLoad(a->get(), p.n_max);
+  const AllocationDecision d = (*a)->Allocate(Seconds(10.0), &snapshots[0]);
+  EXPECT_EQ(d.n, p.n_max);
   // k is not capped (Fig. 5), but the size saturates at BS(N).
-  EXPECT_DOUBLE_EQ(ToBits(d->buffer_size), ToBits(StaticSchemeBufferSize(p).value()));
+  EXPECT_DOUBLE_EQ(ToBits(d.buffer_size), ToBits(StaticSchemeBufferSize(p).value()));
 }
 
 TEST(DynamicAllocatorTest, PreviewMatchesAllocateAndIsPure) {
   const AllocParams p = SmallParams();
   auto a = MakeDynamic(p, Minutes(40));
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE((*a)->Admit(1, Seconds(0.0)).ok());
-  auto preview1 = (*a)->Preview(Seconds(0.0));
-  auto preview2 = (*a)->Preview(Seconds(0.0));
-  ASSERT_TRUE(preview1.ok());
-  ASSERT_TRUE(preview2.ok());
-  EXPECT_DOUBLE_EQ(ToBits(preview1->buffer_size), ToBits(preview2->buffer_size));
-  auto d = (*a)->Allocate(1, Seconds(0.0));
-  ASSERT_TRUE(d.ok());
-  EXPECT_DOUBLE_EQ(ToBits(d->buffer_size), ToBits(preview1->buffer_size));
+  ASSERT_TRUE((*a)->Admit().ok());
+  const AllocationDecision preview1 = (*a)->Preview(Seconds(0.0));
+  const AllocationDecision preview2 = (*a)->Preview(Seconds(0.0));
+  EXPECT_DOUBLE_EQ(ToBits(preview1.buffer_size), ToBits(preview2.buffer_size));
+  Snapshot s;
+  const AllocationDecision d = (*a)->Allocate(Seconds(0.0), &s);
+  EXPECT_DOUBLE_EQ(ToBits(d.buffer_size), ToBits(preview1.buffer_size));
 }
 
-/// The inertia minima by brute force over the live ids' snapshots:
+/// The inertia minima by brute force over the live requests' snapshots:
 /// {min k_i, min (n_i + k_i)} over the allocated ones, INT_MAX when none.
-std::pair<int, int> BruteForceMinima(const DynamicBufferAllocator& a,
-                                     const std::vector<RequestId>& live) {
+std::pair<int, int> BruteForceMinima(const std::vector<Snapshot>& live) {
   int min_k = INT_MAX;
   int min_nk = INT_MAX;
-  for (RequestId id : live) {
-    auto s = a.snapshot(id);
-    EXPECT_TRUE(s.ok()) << id;
-    if (!s.ok() || !s->allocated) continue;
-    min_k = std::min(min_k, s->k);
-    min_nk = std::min(min_nk, s->n + s->k);
+  for (const Snapshot& s : live) {
+    if (!s.allocated) continue;
+    min_k = std::min(min_k, s.k);
+    min_nk = std::min(min_nk, s.n + s.k);
   }
   return {min_k, min_nk};
 }
@@ -254,8 +244,9 @@ std::pair<int, int> BruteForceMinima(const DynamicBufferAllocator& a,
 TEST(DynamicAllocatorTest, MinimaTrackAdmitAllocateDrainRemove) {
   // A seeded random mix of every operation that changes a snapshot. After
   // each step, Preview's k and Admit's verdict must follow the minima of a
-  // brute-force scan. Arrival bursts grow over the run, so k_log keeps
-  // rising past older snapshots' k_i and min k_i is what bounds k_c.
+  // brute-force scan over the snapshots the test holds. Arrival bursts grow
+  // over the run, so k_log keeps rising past older snapshots' k_i and
+  // min k_i is what bounds k_c.
   const AllocParams p = SmallParams();
   const Seconds t_log = Minutes(40);
   auto created = MakeDynamic(p, t_log);
@@ -267,15 +258,14 @@ TEST(DynamicAllocatorTest, MinimaTrackAdmitAllocateDrainRemove) {
   Seconds last_usage_period = table->GetUnchecked(1, p.alpha) / p.cr;
 
   std::mt19937 rng(20011);
-  std::vector<RequestId> live;
-  RequestId next_id = 1;
+  std::vector<Snapshot> live;
   int deferred = 0;
   int admitted = 0;
   int min_ki_bound = 0;
   Seconds now;
   for (int step = 0; step < 600; ++step) {
     now += Seconds(0.25);
-    const int min_nk = BruteForceMinima(a, live).second;
+    const int min_nk = BruteForceMinima(live).second;
     const auto pick = [&] { return rng() % live.size(); };
     switch (rng() % 6) {
       case 0: {
@@ -289,7 +279,7 @@ TEST(DynamicAllocatorTest, MinimaTrackAdmitAllocateDrainRemove) {
       case 1:
       case 2: {
         const int n = static_cast<int>(live.size());
-        const Status st = a.Admit(next_id, now);
+        const Status st = a.Admit();
         if (n >= p.n_max) {
           EXPECT_EQ(st.code(), StatusCode::kCapacityExceeded) << step;
         } else if (n + 1 > min_nk) {
@@ -299,19 +289,17 @@ TEST(DynamicAllocatorTest, MinimaTrackAdmitAllocateDrainRemove) {
           EXPECT_TRUE(st.ok()) << step << ": " << st.ToString();
           ++admitted;
         }
-        if (st.ok()) live.push_back(next_id);
-        ++next_id;
+        if (st.ok()) live.emplace_back();
         break;
       }
       case 3: {
         if (live.empty()) break;
-        auto d = a.Allocate(live[pick()], now);
-        ASSERT_TRUE(d.ok());
-        last_usage_period = d->usage_period;
+        const AllocationDecision d = a.Allocate(now, &live[pick()]);
+        last_usage_period = d.usage_period;
         break;
       }
       case 4:
-        if (!live.empty()) a.MarkDrained(live[pick()]);
+        if (!live.empty()) a.MarkDrained(&live[pick()]);
         break;
       case 5: {
         if (live.empty()) break;
@@ -321,7 +309,8 @@ TEST(DynamicAllocatorTest, MinimaTrackAdmitAllocateDrainRemove) {
         break;
       }
     }
-    const int min_k = BruteForceMinima(a, live).first;
+    ASSERT_EQ(a.active_count(), static_cast<int>(live.size())) << step;
+    const int min_k = BruteForceMinima(live).first;
     const int k_log_term = shadow.KLog(now, last_usage_period) + p.alpha;
     int expected_k = k_log_term;
     if (min_k != INT_MAX && min_k + p.alpha < k_log_term) {
@@ -329,20 +318,12 @@ TEST(DynamicAllocatorTest, MinimaTrackAdmitAllocateDrainRemove) {
       ++min_ki_bound;
     }
     expected_k = std::max(expected_k, 0);
-    auto preview = a.Preview(now);
-    ASSERT_TRUE(preview.ok());
-    ASSERT_EQ(preview->k, expected_k) << "step " << step;
+    ASSERT_EQ(a.Preview(now).k, expected_k) << "step " << step;
   }
   // The run exercised both admission verdicts and a binding min k_i.
   EXPECT_GT(deferred, 0);
   EXPECT_GT(admitted, 0);
   EXPECT_GT(min_ki_bound, 0);
-}
-
-TEST(DynamicAllocatorTest, AllocateUnknownRequestFails) {
-  auto a = MakeDynamic(SmallParams(), Minutes(40));
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ((*a)->Allocate(77, Seconds(0.0)).status().code(), StatusCode::kNotFound);
 }
 
 TEST(DynamicAllocatorTest, CreateValidatesTLog) {

@@ -4,8 +4,10 @@
 
 #include "sim/invariant_auditor.h"
 
+#include <functional>
 #include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,7 +51,6 @@ class FakeContext : public sched::SchedulerContext {
   struct Entry {
     Seconds deadline = kInf;
     double cylinder = 0;
-    bool needs_service = true;
     bool fresh = false;
     Seconds service_time = Seconds(1.0);
   };
@@ -64,9 +65,6 @@ class FakeContext : public sched::SchedulerContext {
   }
   double CurrentCylinder(RequestId id) const override {
     return entries_.at(id).cylinder;
-  }
-  bool NeedsService(RequestId id) const override {
-    return entries_.at(id).needs_service;
   }
   Seconds WorstServiceTime(RequestId id) const override {
     return entries_.at(id).service_time;
@@ -285,23 +283,52 @@ TEST(InvariantAuditorTest, AcceptsStaticSchemeAllocation) {
 
 // --- Service sequence / BubbleUp ordering ---
 
+/// A request table as CheckServiceSequence's predicate reads one: an id
+/// needs service when the table holds it with bits left to deliver.
+class FakeTable {
+ public:
+  void Set(RequestId id, bool bits_left) { bits_left_[id] = bits_left; }
+  std::function<bool(RequestId)> needs_service() const {
+    return [this](RequestId id) {
+      auto it = bits_left_.find(id);
+      return it != bits_left_.end() && it->second;
+    };
+  }
+
+ private:
+  std::map<RequestId, bool> bits_left_;
+};
+
 TEST(InvariantAuditorTest, FlagsDuplicateInServiceSequence) {
   Recorder rec;
   InvariantAuditor auditor(rec.handler());
-  FakeContext ctx;
-  ctx.Set(1);
-  ctx.Set(2);
-  auditor.CheckServiceSequence(ctx, {1, 2, 1}, Seconds(0.0));
+  FakeTable table;
+  table.Set(1, true);
+  table.Set(2, true);
+  auditor.CheckServiceSequence({1, 2, 1}, Seconds(0.0), table.needs_service());
   EXPECT_TRUE(rec.Fired("service-sequence"));
 }
 
 TEST(InvariantAuditorTest, FlagsSatisfiedRequestInSequence) {
   Recorder rec;
   InvariantAuditor auditor(rec.handler());
-  FakeContext ctx;
-  ctx.Set(1).needs_service = false;
-  auditor.CheckServiceSequence(ctx, {1}, Seconds(0.0));
+  FakeTable table;
+  table.Set(1, false);  // Fully delivered: the scheduler should have dropped it.
+  auditor.CheckServiceSequence({1}, Seconds(0.0), table.needs_service());
   EXPECT_TRUE(rec.Fired("service-sequence"));
+}
+
+TEST(InvariantAuditorTest, FlagsIdTheTableDoesNotHold) {
+  // A member that departed without leaving the scheduler: reported, not
+  // aborted on.
+  Recorder rec;
+  InvariantAuditor auditor(rec.handler());
+  FakeTable table;
+  table.Set(1, true);
+  auditor.CheckServiceSequence({1, 7}, Seconds(0.0), table.needs_service());
+  ASSERT_EQ(rec.violations().size(), 1u);
+  EXPECT_EQ(rec.violations()[0].invariant, "service-sequence");
+  EXPECT_NE(rec.violations()[0].detail.find("request 7"), std::string::npos);
 }
 
 TEST(InvariantAuditorTest, AcceptsSafeNewcomerDecision) {

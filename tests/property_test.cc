@@ -28,7 +28,7 @@
 namespace vod {
 namespace {
 
-/// Minimal context for churn tests: every request always needs service.
+/// Minimal context for churn tests.
 class ChurnContext : public sched::SchedulerContext {
  public:
   void Track(RequestId id, double cylinder) { cylinders_[id] = cylinder; }
@@ -39,7 +39,6 @@ class ChurnContext : public sched::SchedulerContext {
   double CurrentCylinder(RequestId id) const override {
     return cylinders_.at(id);
   }
-  bool NeedsService(RequestId) const override { return true; }
   Seconds WorstServiceTime(RequestId) const override { return Seconds(1.0); }
   Seconds NewcomerReserve() const override { return Seconds(1.0); }
 

@@ -21,7 +21,6 @@ class FakeContext : public SchedulerContext {
   struct Entry {
     Seconds deadline = kInf;
     double cylinder = 0;
-    bool needs_service = true;
     bool fresh = false;
     Seconds service_time = Seconds(1.0);
   };
@@ -36,9 +35,6 @@ class FakeContext : public SchedulerContext {
   }
   double CurrentCylinder(RequestId id) const override {
     return entries_.at(id).cylinder;
-  }
-  bool NeedsService(RequestId id) const override {
-    return entries_.at(id).needs_service;
   }
   Seconds WorstServiceTime(RequestId id) const override {
     return entries_.at(id).service_time;
@@ -122,14 +118,31 @@ TEST(RoundRobinTest, RemoveWorksInBothQueues) {
   EXPECT_TRUE(rr.ServiceSequence(ctx, Seconds(0.0)).empty());
 }
 
-TEST(RoundRobinTest, FiltersRequestsNotNeedingService) {
+TEST(RoundRobinTest, SequenceIsTheMembersAndRemoveIsImmediate) {
+  // Membership is who needs service: the sequence is the fresh queue then
+  // the ring, every member, and a removed member is gone from the next one.
   RoundRobinScheduler rr;
   FakeContext ctx;
-  ctx.Set(1).deadline = Seconds(100.0);
-  ctx.Set(1).needs_service = false;
-  rr.Add(1, Seconds(0.0));
-  rr.OnServiceComplete(1, Seconds(0.0));
-  EXPECT_TRUE(rr.ServiceSequence(ctx, Seconds(0.0)).empty());
+  for (RequestId id : {1, 2, 3}) {
+    ctx.Set(id).deadline = Seconds(100.0);
+    rr.Add(id, Seconds(0.0));
+    rr.OnServiceComplete(id, Seconds(0.0));
+  }
+  for (RequestId id : {9, 8}) {
+    ctx.Set(id).fresh = true;
+    rr.Add(id, Seconds(1.0));
+  }
+  ASSERT_EQ(rr.ServiceSequence(ctx, Seconds(1.0)),
+            (std::vector<RequestId>{9, 8, 1, 2, 3}));
+  rr.Remove(8);  // From the fresh queue.
+  EXPECT_EQ(rr.ServiceSequence(ctx, Seconds(1.0)),
+            (std::vector<RequestId>{9, 1, 2, 3}));
+  rr.Remove(2);  // From the ring.
+  EXPECT_EQ(rr.ServiceSequence(ctx, Seconds(1.0)),
+            (std::vector<RequestId>{9, 1, 3}));
+  rr.Remove(2);  // Not a member any more: a no-op.
+  EXPECT_EQ(rr.ServiceSequence(ctx, Seconds(1.0)),
+            (std::vector<RequestId>{9, 1, 3}));
 }
 
 TEST(RoundRobinTest, NextIsLazyWithoutFresh) {
@@ -247,6 +260,11 @@ TEST(SweepTest, RemoveMidPeriod) {
   sw.ServiceSequence(ctx, Seconds(0.0));
   sw.Remove(2);
   EXPECT_EQ(sw.ServiceSequence(ctx, Seconds(0.1)), (std::vector<RequestId>{1, 3}));
+  // The next period's roster is every remaining member.
+  sw.OnServiceComplete(1, Seconds(0.5));
+  sw.OnServiceComplete(3, Seconds(1.0));
+  EXPECT_EQ(sw.ServiceSequence(ctx, Seconds(1.0)), (std::vector<RequestId>{1, 3}));
+  EXPECT_EQ(sw.periods_started(), 2);
 }
 
 // --- GssScheduler ---
@@ -351,18 +369,26 @@ TEST(GssTest, RemoveDropsEmptyGroups) {
   EXPECT_TRUE(gss.ServiceSequence(ctx, Seconds(1.0)).empty());
 }
 
-TEST(GssTest, SkipsDutyFreeGroups) {
-  GssScheduler gss(2);
+TEST(GssTest, RemoveTakesAnInServiceMemberOutAtOnce) {
+  GssScheduler gss(3);
   FakeContext ctx;
-  ctx.Set(1).cylinder = 10;
-  ctx.Set(1).needs_service = false;  // Fully delivered.
-  ctx.Set(2).cylinder = 20;
-  gss.Add(1, Seconds(0.0));
-  gss.Add(2, Seconds(0.0));
-  // Group {1,2}: only 2 needs service.
-  auto seq = gss.ServiceSequence(ctx, Seconds(0.0));
-  ASSERT_EQ(seq.size(), 1u);
-  EXPECT_EQ(seq[0], 2u);
+  for (RequestId id : {1, 2, 3, 4, 5}) {
+    ctx.Set(id).cylinder = id * 10.0;
+    gss.Add(id, Seconds(0.0));
+  }
+  // Group {1,2,3} in service, then group {4,5}: every member, in order.
+  ASSERT_EQ(gss.ServiceSequence(ctx, Seconds(0.0)),
+            (std::vector<RequestId>{1, 2, 3, 4, 5}));
+  gss.OnServiceComplete(1, Seconds(0.5));
+  gss.Remove(3);  // Not yet serviced this turn.
+  EXPECT_EQ(gss.ServiceSequence(ctx, Seconds(0.5)),
+            (std::vector<RequestId>{2, 4, 5}));
+  // Removing the turn's last unserviced member ends the turn: group {4,5}
+  // is next, and what is left of group {1,2,3} waits behind it.
+  gss.Remove(2);
+  EXPECT_EQ(gss.ServiceSequence(ctx, Seconds(0.5)),
+            (std::vector<RequestId>{4, 5, 1}));
+  EXPECT_EQ(gss.group_count(), 2);
 }
 
 TEST(GssTest, OutOfTurnServiceResortsItsGroup) {
