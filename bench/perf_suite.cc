@@ -256,8 +256,9 @@ void BM_EventQueueChurn(bk::State& state) {
 }
 
 // --- prof_scope: one empty VODB_PROF_SCOPE, the profiler's own cost per
-// scope (the simulator's event loop enters about 4.5 per event). The
-// `noop` row is the same loop without the scope. ---
+// scope (the simulator's event loop enters about 3.5 per event), timed
+// calls included at their sampled share. The `noop` row is the same loop
+// without the scope. ---
 void BM_ProfScope(bk::State& state) {
   for (auto _ : state) {
     static_cast<void>(_);

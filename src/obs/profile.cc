@@ -51,6 +51,20 @@ ProfSite* Profiler::Register(const std::string& name) {
   return it->second.get();
 }
 
+void Profiler::ScheduleNextTimed(Counter* c, std::int64_t calls) {
+  if (calls < kWarmupCalls) {
+    c->next_timed = calls + 1;
+    return;
+  }
+  std::uint32_t& x = t_block_->rng;
+  x ^= x << 13;
+  x ^= x >> 17;
+  x ^= x << 5;
+  // Uniform on [1, 2·kMeanGap − 1] by multiply-shift, mean kMeanGap.
+  constexpr std::uint64_t kSpan = 2 * kMeanGap - 1;
+  c->next_timed = calls + 1 + static_cast<std::int64_t>((x * kSpan) >> 32);
+}
+
 Profiler::ThreadBlock* Profiler::AttachThread() {
   thread_local ThreadHandle handle;
   t_block_ = handle.block();
@@ -59,8 +73,10 @@ Profiler::ThreadBlock* Profiler::AttachThread() {
 
 void Profiler::Accumulate(const ThreadBlock& block, Sums* sums) {
   for (std::size_t i = 0; i < kMaxSites; ++i) {
-    (*sums)[i].calls += block.counters[i].calls.load(std::memory_order_relaxed);
-    (*sums)[i].ticks += block.counters[i].ticks.load(std::memory_order_relaxed);
+    const Counter& c = block.counters[i];
+    (*sums)[i].calls += c.calls.load(std::memory_order_relaxed);
+    (*sums)[i].timed += c.timed.load(std::memory_order_relaxed);
+    (*sums)[i].ticks += c.ticks.load(std::memory_order_relaxed);
   }
 }
 
@@ -98,8 +114,14 @@ std::vector<ProfSiteStats> Profiler::Snapshot() const {
       ProfSiteStats s;
       s.name = name;
       s.calls = calls;
-      s.total = Seconds(static_cast<double>(now.ticks - base.ticks) *
-                        seconds_per_tick);
+      s.timed = now.timed - base.timed;
+      // Timed calls are a uniform sample of the calls, so scaling their
+      // ticks by calls ÷ timed estimates the total without bias.
+      if (s.timed > 0) {
+        s.total = Seconds(static_cast<double>(now.ticks - base.ticks) *
+                          static_cast<double>(calls) /
+                          static_cast<double>(s.timed) * seconds_per_tick);
+      }
       s.mean = s.total / static_cast<double>(calls);
       out.push_back(std::move(s));
     }
@@ -122,14 +144,15 @@ std::string Profiler::ReportTable() const {
   for (const ProfSiteStats& s : stats) width = std::max(width, s.name.size());
   std::string out;
   char buf[160];
-  std::snprintf(buf, sizeof(buf), "%-*s %12s %12s %12s\n",
-                static_cast<int>(width), "phase", "calls", "total_s",
+  std::snprintf(buf, sizeof(buf), "%-*s %12s %12s %12s %12s\n",
+                static_cast<int>(width), "phase", "calls", "timed", "total_s",
                 "mean_us");
   out += buf;
   for (const ProfSiteStats& s : stats) {
-    std::snprintf(buf, sizeof(buf), "%-*s %12lld %12.4f %12.2f\n",
+    std::snprintf(buf, sizeof(buf), "%-*s %12lld %12lld %12.4f %12.2f\n",
                   static_cast<int>(width), s.name.c_str(),
-                  static_cast<long long>(s.calls), ToSeconds(s.total),
+                  static_cast<long long>(s.calls),
+                  static_cast<long long>(s.timed), ToSeconds(s.total),
                   ToSeconds(s.mean) * 1e6);
     out += buf;
   }
@@ -142,6 +165,7 @@ JsonValue Profiler::ToJson() const {
     JsonValue site = JsonValue::Object();
     site.Set("name", JsonValue::Str(s.name));
     site.Set("calls", JsonValue::Number(static_cast<double>(s.calls)));
+    site.Set("timed", JsonValue::Number(static_cast<double>(s.timed)));
     site.Set("total_s", JsonValue::Number(ToSeconds(s.total)));
     site.Set("mean_us", JsonValue::Number(ToSeconds(s.mean) * 1e6));
     json.Append(std::move(site));

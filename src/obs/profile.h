@@ -28,9 +28,13 @@ struct ProfSite {
   const std::size_t slot;
 };
 
+/// One site's row. `calls` and `timed` are exact counts; `total` and `mean`
+/// are estimates scaled up from the `timed` calls (exact when every call
+/// was timed).
 struct ProfSiteStats {
   std::string name;
   std::int64_t calls = 0;
+  std::int64_t timed = 0;
   Seconds total;
   Seconds mean;
 };
@@ -40,16 +44,28 @@ struct ProfSiteStats {
 /// aggregate per scheduler, not per call site).
 ///
 /// Accumulation is per thread: each thread that records gets its own
-/// cache-line-aligned block of per-site (calls, ticks) counters that only it
-/// writes, so a scope exit is a relaxed load and store per counter — no
+/// cache-line-aligned block of per-site (calls, timed, ticks) counters that
+/// only it writes, so a scope is a relaxed load and store per counter — no
 /// read-modify-write and no cache line shared between threads. The block
 /// registers here on the thread's first record and folds into the retired
 /// totals when the thread exits. Scopes must not run in thread_local
 /// destructors (the block may already be gone).
+///
+/// Timing is sampled: every scope counts its call, but only some read the
+/// tick counter. A site's first kWarmupCalls calls on a thread are all
+/// timed; after that one call per random gap, uniform on [1, 2·kMeanGap − 1]
+/// calls, is. The gaps come from a per-thread xorshift, so a site whose
+/// calls alternate between kinds is timed on every kind alike (a fixed
+/// stride would time one kind only). Snapshot() scales each site's timed
+/// ticks by calls ÷ timed.
 class Profiler {
  public:
   /// Most distinct site names a process may register.
   static constexpr std::size_t kMaxSites = 64;
+  /// Calls of a site on a thread that are all timed before sampling starts.
+  static constexpr std::int64_t kWarmupCalls = 8;
+  /// Mean number of calls between two timed calls after the warm-up.
+  static constexpr std::int64_t kMeanGap = 64;
 
   static Profiler& Global();
 
@@ -57,17 +73,12 @@ class Profiler {
   /// lifetime (macro sites cache it in a function-local static).
   ProfSite* Register(const std::string& name);
 
-  /// Adds one call lasting `ticks` (obs::ProfTicks() units) to `site` in the
-  /// calling thread's block. The one recording entry point: ProfScope
-  /// calls it on exit.
+  /// Adds one timed call lasting `ticks` (obs::ProfTicks() units) to `site`
+  /// in the calling thread's block.
   static void Record(const ProfSite& site, std::int64_t ticks) {
-    ThreadBlock* block = t_block_;
-    if (block == nullptr) [[unlikely]] block = AttachThread();
-    Counter& c = block->counters[site.slot];
-    c.calls.store(c.calls.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-    c.ticks.store(c.ticks.load(std::memory_order_relaxed) + ticks,
-                  std::memory_order_relaxed);
+    Counter& c = CounterOf(site);
+    Bump(c.calls, 1);
+    AddTimed(&c, ticks);
   }
 
   /// All sites with ≥ 1 call since the last Reset(), summed over live and
@@ -81,7 +92,8 @@ class Profiler {
   /// bench harness' stderr epilogue. Empty string when nothing was profiled.
   std::string ReportTable() const;
 
-  /// Snapshot() as a JSON array of {"name", "calls", "total_s", "mean_us"}.
+  /// Snapshot() as a JSON array of {"name", "calls", "timed", "total_s",
+  /// "mean_us"}.
   JsonValue ToJson() const;
 
   /// Zeroes every site as Snapshot() sees it (sites stay registered): the
@@ -90,21 +102,58 @@ class Profiler {
   void Reset();
 
  private:
+  friend class ProfScope;
+
   /// A site's accumulator in one thread's block. Only the owning thread
   /// writes it; the atomics let Snapshot() read it while that thread runs.
   struct Counter {
     std::atomic<std::int64_t> calls{0};
+    std::atomic<std::int64_t> timed{0};
     std::atomic<std::int64_t> ticks{0};
+    /// The value of `calls` at which the next timed call starts; only the
+    /// owning thread reads it.
+    std::int64_t next_timed = 1;
   };
   struct alignas(64) ThreadBlock {
     std::array<Counter, kMaxSites> counters;
+    /// xorshift32 state for the sampling gaps; owner-only.
+    std::uint32_t rng = 0x9E3779B9u;
   };
   struct Sum {
     std::int64_t calls = 0;
+    std::int64_t timed = 0;
     std::int64_t ticks = 0;
   };
   using Sums = std::array<Sum, kMaxSites>;
   class ThreadHandle;
+
+  /// Owner-only increment: a relaxed load and store, no read-modify-write.
+  static void Bump(std::atomic<std::int64_t>& a, std::int64_t by) {
+    a.store(a.load(std::memory_order_relaxed) + by,
+            std::memory_order_relaxed);
+  }
+  static Counter& CounterOf(const ProfSite& site) {
+    ThreadBlock* block = t_block_;
+    if (block == nullptr) [[unlikely]] block = AttachThread();
+    return block->counters[site.slot];
+  }
+  /// Counts one call of `site`; returns its counter when this call is to be
+  /// timed, nullptr otherwise.
+  static Counter* Enter(const ProfSite& site) {
+    Counter& c = CounterOf(site);
+    const std::int64_t calls = c.calls.load(std::memory_order_relaxed) + 1;
+    c.calls.store(calls, std::memory_order_relaxed);
+    if (calls < c.next_timed) [[likely]] return nullptr;
+    ScheduleNextTimed(&c, calls);
+    return &c;
+  }
+  /// Adds one timed call lasting `ticks` to `c`.
+  static void AddTimed(Counter* c, std::int64_t ticks) {
+    Bump(c->timed, 1);
+    Bump(c->ticks, ticks);
+  }
+  /// Sets `c->next_timed` after its call number `calls` was chosen.
+  static void ScheduleNextTimed(Counter* c, std::int64_t calls);
 
   Profiler();
   /// Registers the calling thread's block on its first record.
@@ -133,16 +182,23 @@ class Profiler {
   mutable double nanos_per_tick_ VODB_GUARDED_BY(mu_) = 1.0;
 };
 
-/// RAII scope accumulating wall time into a site.
+/// RAII scope counting a call of a site and, when the call is sampled,
+/// accumulating its wall time.
 class ProfScope {
  public:
-  explicit ProfScope(const ProfSite* site) : site_(site), t0_(ProfTicks()) {}
-  ~ProfScope() { Profiler::Record(*site_, ProfTicks() - t0_); }
+  explicit ProfScope(const ProfSite* site)
+      : timed_(Profiler::Enter(*site)),
+        t0_(timed_ != nullptr ? ProfTicks() : 0) {}
+  ~ProfScope() {
+    if (timed_ != nullptr) [[unlikely]] {
+      Profiler::AddTimed(timed_, ProfTicks() - t0_);
+    }
+  }
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
 
  private:
-  const ProfSite* site_;
+  Profiler::Counter* timed_;  // Null unless this call is timed.
   std::int64_t t0_;
 };
 
@@ -150,10 +206,11 @@ class ProfScope {
 
 /// VODB_PROF_SCOPE("phase.name") — time the enclosing block into the global
 /// profiler. Every build compiles the scopes in. The site lookup runs once
-/// per call site (function-local static); an entry costs two
-/// obs::ProfTicks() reads and two uncontended stores, cheap enough for the
-/// simulator event loop (it cannot perturb any simulated quantity — the
-/// profiler only ever reads the host clock, never the simulation clock).
+/// per call site (function-local static); an untimed entry costs one
+/// uncontended store and a compare, a timed one (about one in kMeanGap) two
+/// obs::ProfTicks() reads more, cheap enough for the simulator event loop
+/// (it cannot perturb any simulated quantity — the profiler only ever reads
+/// the host clock, never the simulation clock).
 #define VODB_PROF_CONCAT_INNER(a, b) a##b
 #define VODB_PROF_CONCAT(a, b) VODB_PROF_CONCAT_INNER(a, b)
 #define VODB_PROF_SCOPE(name)                                          \

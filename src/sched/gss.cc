@@ -86,8 +86,13 @@ const std::vector<RequestId>& GssScheduler::ServiceSequence(
     current_roster_ = groups_.front().ids;
     roster_active_ = true;
   }
+  // Reserve the whole membership, so the loop below never reallocates.
+  std::size_t members = current_roster_.size();
+  for (std::size_t i = 1; i < groups_.size(); ++i) {
+    members += groups_[i].ids.size();
+  }
   seq_.clear();
-  seq_.reserve(current_roster_.size());
+  seq_.reserve(members);
   seq_.insert(seq_.end(), current_roster_.begin(), current_roster_.end());
   // Flatten the remaining groups in cyclic order for deadline lookahead.
   // Each keeps its sweep order between decisions, so only a group whose

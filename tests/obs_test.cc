@@ -266,6 +266,7 @@ TEST(ProfilerTest, RegisterIsIdempotentAndScopesAccumulate) {
     if (site.Find("name")->AsString() == "obs_test.site") {
       in_json = true;
       EXPECT_GE(site.Find("calls")->AsNumber(), 10);
+      EXPECT_GE(site.Find("timed")->AsNumber(), 1);
       EXPECT_GE(site.Find("total_s")->AsNumber(), 0.0);
       EXPECT_NE(site.Find("mean_us"), nullptr);
     }
@@ -340,6 +341,69 @@ TEST(ProfilerTest, ScopeTimeIsConvertedToWallNanoseconds) {
   const Seconds timed = StatsOf("obs_test.busy_wait").total - before;
   EXPECT_GE(timed, Seconds(1e-3));
   EXPECT_LE(timed, outer * 2.0);
+}
+
+// A site's first kWarmupCalls calls on a thread are all timed, so a coarse
+// scope entered a few times reports exact time.
+TEST(ProfilerTest, WarmupCallsAreAllTimed) {
+  ProfSite* site = Profiler::Global().Register("obs_test.warmup");
+  for (std::int64_t i = 0; i < Profiler::kWarmupCalls - 1; ++i) {
+    ProfScope scope(site);
+  }
+  const ProfSiteStats s = StatsOf("obs_test.warmup");
+  EXPECT_EQ(s.calls, Profiler::kWarmupCalls - 1);
+  EXPECT_EQ(s.timed, s.calls);
+}
+
+// After the warm-up only some calls are timed, never more than were made,
+// and Reset() makes the baseline of `timed` as of `calls`.
+TEST(ProfilerTest, TimedCallsNeverExceedCallsAndResetSubtractsThem) {
+  Profiler& prof = Profiler::Global();
+  ProfSite* site = prof.Register("obs_test.timed");
+  constexpr int kScopes = 10'000;
+  for (int i = 0; i < kScopes; ++i) {
+    ProfScope scope(site);
+  }
+  const ProfSiteStats before = StatsOf("obs_test.timed");
+  EXPECT_EQ(before.calls, kScopes);
+  EXPECT_GT(before.timed, Profiler::kWarmupCalls);
+  EXPECT_LT(before.timed, before.calls);
+  for (const ProfSiteStats& s : prof.Snapshot()) {
+    EXPECT_LE(s.timed, s.calls) << s.name;
+  }
+  prof.Reset();
+  for (int i = 0; i < 3; ++i) {
+    ProfScope scope(site);
+  }
+  const ProfSiteStats after = StatsOf("obs_test.timed");
+  EXPECT_EQ(after.calls, 3);
+  EXPECT_LE(after.timed, after.calls);
+}
+
+// Aliasing guard: the site's calls alternate between an empty body and a
+// busy wait of about 2 us. Random gaps time both kinds alike, so the scaled
+// total tracks the busy waits' own sum; a fixed even stride would time one
+// kind only and read about 0 or 2x.
+TEST(ProfilerTest, SampledTotalTracksAlternatingCallKinds) {
+  ProfSite* site = Profiler::Global().Register("obs_test.alternating");
+  constexpr int kScopes = 20'000;
+  std::int64_t busy_ns = 0;
+  for (int i = 0; i < kScopes; ++i) {
+    ProfScope scope(site);
+    if (i % 2 == 1) {
+      const std::int64_t start = MonotonicNanos();
+      std::int64_t now = start;
+      while (now - start < 2'000) now = MonotonicNanos();
+      busy_ns += now - start;
+    }
+  }
+  const ProfSiteStats s = StatsOf("obs_test.alternating");
+  ASSERT_EQ(s.calls, kScopes);
+  EXPECT_LT(s.timed, s.calls);
+  const double ratio =
+      ToSeconds(s.total) * 1e9 / static_cast<double>(busy_ns);
+  EXPECT_GT(ratio, 0.6);
+  EXPECT_LT(ratio, 1.6);
 }
 
 // Regression: Snapshot sorts by total descending with a *name* tie-break.
